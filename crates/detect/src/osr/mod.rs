@@ -6,11 +6,11 @@
 //! acquisitions of one lock; OSR additionally permits a bounded number of
 //! critical-section *reversals* — the later section of a same-lock pair
 //! completes before the earlier one starts — which predicts strictly more
-//! true races at near-SyncP cost. Every report stays sound by
-//! construction: a reversal-carrying closure is only believed once a
-//! concrete replay schedule of its ideal has been found, and that schedule
-//! *is* the witness ([`osr_pair_witness`] exposes it; the vindication
-//! layer's reversal-tolerant validator replays it).
+//! true races at near-SyncP cost (see [the fast path](#the-fast-path)).
+//! Every report stays sound by construction: a reversal-carrying closure
+//! is only believed once a concrete replay schedule of its ideal has been
+//! found, and that schedule *is* the witness ([`osr_pair_witness`] exposes
+//! it; the vindication layer's reversal-tolerant validator replays it).
 //!
 //! # The abort-and-commit check
 //!
@@ -34,6 +34,21 @@
 //!    endpoint was forced by reads-from, program order, fork/join, or a
 //!    barrier round) is final: no reversal can help, the pair is ordered.
 //!
+//! # The fast path
+//!
+//! Attempt `R = ∅` does not run the journaling closure at all: it runs
+//! SyncP's own [`SyncPCore::check_pair`], whose rule 3 keeps only the
+//! latest included acquisitions and the unreleased sections per lock, so
+//! it is linear in the ideal. The journaling closure applies rule 3
+//! pairwise over every included section — O(S²) per lock — because the
+//! abort handler needs each pull's pair identity. Both compute the same
+//! least fixpoint, so they agree on the verdict and, on commit, on the
+//! ideal. A pair that commits at `R = ∅` — every SyncP race — therefore
+//! costs what it costs SyncP, and the detector builds no ideal for it;
+//! only [`osr_pair_witness`] reads the ideal back. Only an aborted pair
+//! reruns `R = ∅` through the journaling closure to mine its pulls, before
+//! the directive search proceeds as above.
+//!
 //! The strong-clock and common-lock prefilters and the epoch cache carry
 //! over from SyncP unchanged, because both remain sound under reversals:
 //! the strong clock tracks only edges no correct reordering of any kind
@@ -52,7 +67,7 @@ use crate::common::slot;
 use crate::counters::PathCounters;
 use crate::report::{AccessKind, RaceReport, Report};
 use crate::syncp::strong::StrongState;
-use crate::syncp::{lw_slot, Candidate, SyncPCore, VarState, NONE};
+use crate::syncp::{lw_slot, Candidate, ClosureScratch, SyncPCore, VarState, NONE};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
 /// Maximum closure restarts per pair. Each restart commits one more
@@ -270,18 +285,6 @@ fn osr_close(
     !ordered
 }
 
-/// The ideal of the last completed [`osr_close`], as event indexes in
-/// trace order.
-fn ideal_of(core: &SyncPCore, scratch: &OsrScratch) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::new();
-    for (t, ts) in core.threads.iter().enumerate() {
-        let upto = scratch.frontier.get(t).copied().unwrap_or(0) as usize;
-        out.extend_from_slice(&ts.proj[..upto.min(ts.proj.len())]);
-    }
-    out.sort_unstable();
-    out
-}
-
 #[derive(Clone, Debug, Default)]
 struct LockRep {
     write_held: bool,
@@ -331,12 +334,16 @@ struct Replay<'c> {
 }
 
 impl<'c> Replay<'c> {
-    fn new(core: &'c SyncPCore, ideal: &[u32]) -> Self {
+    /// Replays the ideal a committed [`osr_close`] left in `frontier`.
+    fn new(core: &'c SyncPCore, frontier: &[u32]) -> Self {
         let nthreads = core.threads.len();
-        let mut per_thread: Vec<Vec<u32>> = vec![Vec::new(); nthreads];
-        for &e in ideal {
-            per_thread[core.meta[e as usize].tid as usize].push(e);
-        }
+        let per_thread: Vec<Vec<u32>> = core
+            .threads
+            .iter()
+            .zip(frontier)
+            .map(|(ts, &upto)| ts.proj[..upto as usize].to_vec())
+            .collect();
+        let remaining = per_thread.iter().map(Vec::len).sum();
         Replay {
             core,
             per_thread,
@@ -348,8 +355,8 @@ impl<'c> Replay<'c> {
             bars: Vec::new(),
             visited: HashSet::new(),
             states: 0,
-            out: Vec::with_capacity(ideal.len()),
-            remaining: ideal.len(),
+            out: Vec::with_capacity(remaining),
+            remaining,
         }
     }
 
@@ -514,45 +521,48 @@ impl<'c> Replay<'c> {
     }
 }
 
+/// How [`osr_check`] committed a racing pair.
+enum Commit {
+    /// Attempt `R = ∅` committed: SyncP's closure left the ideal in the
+    /// [`ClosureScratch`] frontier, and in trace order it is the witness.
+    SyncP,
+    /// A reversal-carrying attempt committed and the DFS scheduler found
+    /// this linearization of its ideal.
+    Replayed(Vec<u32>),
+}
+
 /// The full abort-and-commit check for one conflicting pair `a < b`.
-/// Returns the witness order (event indexes in schedule order, pair
-/// appended) when the pair is an OSR race, `None` otherwise.
-fn osr_check(core: &SyncPCore, scratch: &mut OsrScratch, a: u32, b: u32) -> Option<Vec<u32>> {
+/// Returns how the pair committed when it is an OSR race, `None`
+/// otherwise. Attempt `R = ∅` runs SyncP's linear closure; only when it
+/// aborts does the journaling closure rerun to mine reversal directives.
+fn osr_check(
+    core: &SyncPCore,
+    closure: &mut ClosureScratch,
+    scratch: &mut OsrScratch,
+    a: u32,
+    b: u32,
+) -> Option<Commit> {
+    if core.check_pair(closure, a, b) {
+        return Some(Commit::SyncP);
+    }
+    // Same least fixpoint, so the journaling closure aborts too; it is
+    // rerun only for its pull journal.
+    let committed = osr_close(core, scratch, &[], a, b);
+    debug_assert!(!committed, "osr_close(R = ∅) must agree with check_pair");
     let mut directives: Vec<Directive> = Vec::new();
-    let mut tried: Vec<Directive> = Vec::new();
-    for _ in 0..MAX_ATTEMPTS {
-        if osr_close(core, scratch, &directives, a, b) {
-            let ideal = ideal_of(core, scratch);
-            if directives.is_empty() {
-                // Exactly the SyncP closure: its trace-order ideal is the
-                // witness, no scheduling needed (SyncP ⊆ OSR lives here).
-                let mut order = ideal;
-                order.push(a);
-                order.push(b);
-                return Some(order);
-            }
-            let mut replay = Replay::new(core, &ideal);
-            if replay.dfs() {
-                let mut order = std::mem::take(&mut replay.out);
-                order.push(a);
-                order.push(b);
-                return Some(order);
-            }
-            return None;
-        }
-        // Aborted. Reverse the most recent lock culprit not yet tried; if
-        // the abort had no reversible lock pull, no reversal can help.
+    for _ in 1..MAX_ATTEMPTS {
+        // Reverse the most recent lock culprit not yet reversed; if the
+        // abort had no reversible lock pull, no reversal can help.
         let next = scratch.pulls.iter().rev().find(|&&(e, l, rev)| {
-            !rev && !tried.contains(&(e, l))
-                && core.sections[e as usize].rel != NONE
-                && core.sections[l as usize].rel != NONE
+            !rev && core.sections[e as usize].rel != NONE && core.sections[l as usize].rel != NONE
         });
-        match next {
-            Some(&(e, l, _)) => {
-                tried.push((e, l));
-                directives.push((e, l));
-            }
-            None => return None,
+        let &(e, l, _) = next?;
+        directives.push((e, l));
+        if osr_close(core, scratch, &directives, a, b) {
+            let mut replay = Replay::new(core, &scratch.frontier);
+            return replay
+                .dfs()
+                .then(|| Commit::Replayed(std::mem::take(&mut replay.out)));
         }
     }
     None
@@ -596,6 +606,7 @@ pub struct Osr {
     core: SyncPCore,
     strong: StrongState,
     vars: Vec<VarState>,
+    closure: ClosureScratch,
     scratch: OsrScratch,
     report: Report,
     paths: PathCounters,
@@ -662,37 +673,20 @@ impl Osr {
         self.paths.slow += 1;
 
         let mut prior: Vec<ThreadId> = Vec::new();
-        let cur_holds = self.core.threads[t].held.clone();
-        let n_writes = self.vars[x.index()].writes.len();
-        let n_reads = if is_write {
-            self.vars[x.index()].reads.len()
-        } else {
-            0
-        };
-        for ci in 0..n_writes + n_reads {
-            let (cand_tid, racy);
-            {
-                let vs = &self.vars[x.index()];
-                let c = if ci < n_writes {
-                    &vs.writes[ci]
-                } else {
-                    &vs.reads[ci - n_writes]
-                };
-                if c.tid == t as u32 {
-                    continue;
-                }
-                let tid = ThreadId::new(c.tid);
-                if prior.contains(&tid) {
-                    continue;
-                }
-                if self.strong_ordered(t, c.idx) || Self::common_lock(&cur_holds, &c.holds) {
-                    continue;
-                }
-                racy = osr_check(&self.core, &mut self.scratch, c.idx, idx).is_some();
-                cand_tid = tid;
+        let cur_holds = &self.core.threads[t].held;
+        let vs = &self.vars[x.index()];
+        let reads: &[Candidate] = if is_write { &vs.reads } else { &[] };
+        for c in vs.writes.iter().chain(reads) {
+            let tid = ThreadId::new(c.tid);
+            if c.tid == t as u32 || prior.contains(&tid) {
+                continue;
             }
-            if racy {
-                prior.push(cand_tid);
+            if self.strong_ordered(t, c.idx) || Self::common_lock(cur_holds, &c.holds) {
+                continue;
+            }
+            // The verdict path: no ideal is built for a SyncP commit.
+            if osr_check(&self.core, &mut self.closure, &mut self.scratch, c.idx, idx).is_some() {
+                prior.push(tid);
             }
         }
         if !prior.is_empty() {
@@ -896,9 +890,15 @@ pub fn osr_pair_witness(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<E
         }
         core.ingest(id.index() as u32, event);
     }
-    let mut scratch = OsrScratch::default();
-    osr_check(&core, &mut scratch, a.index() as u32, b.index() as u32)
-        .map(|order| order.into_iter().map(EventId::new).collect())
+    let (a, b) = (a.index() as u32, b.index() as u32);
+    let mut closure = ClosureScratch::default();
+    let commit = osr_check(&core, &mut closure, &mut OsrScratch::default(), a, b)?;
+    let mut order = match commit {
+        Commit::SyncP => core.ideal(&closure.frontier),
+        Commit::Replayed(order) => order,
+    };
+    order.extend([a, b]);
+    Some(order.into_iter().map(EventId::new).collect())
 }
 
 #[cfg(test)]
@@ -986,6 +986,70 @@ mod tests {
         let acq_t2 = ids.iter().position(|&i| i == 4).unwrap();
         let acq_t1 = ids.iter().position(|&i| i == 0).unwrap();
         assert!(acq_t2 < acq_t1, "sections reversed in the schedule");
+    }
+
+    /// The fast path's premise: SyncP's linear closure and the journaling
+    /// closure at `R = ∅` compute the same least fixpoint. For every
+    /// cross-thread conflicting pair of random traces mixing locks,
+    /// rwlocks, waits, barriers and forks — each checked against the
+    /// prefix the streaming detector would hold — they must agree on the
+    /// verdict, and on commit on the frontier.
+    #[test]
+    fn syncp_closure_matches_the_journaling_closure_at_empty_r() {
+        use smarttrack_trace::gen::RandomTraceSpec;
+        let (mut commits, mut aborts) = (0usize, 0usize);
+        for seed in 0..160u64 {
+            let n = seed as u32;
+            let tr = RandomTraceSpec {
+                threads: 2 + n % 3,
+                events: 60 + (seed as usize % 4) * 40,
+                vars: 2 + n % 4,
+                locks: 1 + n % 3,
+                condvars: n % 2,
+                condvar_prob: 0.08 * f64::from(n % 2),
+                barriers: (n / 2) % 2,
+                barrier_prob: 0.04 * f64::from((n / 2) % 2),
+                rwlocks: (n / 4) % 2,
+                rw_read_prob: 0.1,
+                rw_write_prob: 0.04,
+                rw_release_prob: 0.2,
+                try_fail_prob: 0.02,
+                acquire_prob: 0.15,
+                release_prob: 0.2,
+                fork_join: (n / 8) % 2 == 1,
+                ..RandomTraceSpec::default()
+            }
+            .generate(seed);
+            let mut core = SyncPCore::default();
+            let mut closure = ClosureScratch::default();
+            let mut scratch = OsrScratch::default();
+            for (id, event) in tr.iter() {
+                let b = id.index() as u32;
+                core.ingest(b, event);
+                for (prev, earlier) in tr.iter().take(id.index()) {
+                    if !earlier.conflicts_with(event) {
+                        continue;
+                    }
+                    let a = prev.index() as u32;
+                    let fast = core.check_pair(&mut closure, a, b);
+                    let slow = osr_close(&core, &mut scratch, &[], a, b);
+                    assert_eq!(fast, slow, "seed {seed}: verdicts differ on ({a}, {b})");
+                    if fast {
+                        commits += 1;
+                        assert_eq!(
+                            closure.frontier, scratch.frontier,
+                            "seed {seed}: committed ideals differ on ({a}, {b})"
+                        );
+                    } else {
+                        aborts += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            commits > 0 && aborts > 0,
+            "the sweep must exercise both verdicts ({commits} commits, {aborts} aborts)"
+        );
     }
 
     #[test]

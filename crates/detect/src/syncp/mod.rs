@@ -72,10 +72,11 @@
 //! Optimistic synchronization-reversal prediction (Shi, Mathur &
 //! Pavlogiannis, arXiv 2401.05642) relaxes rule 3's
 //! observed-acquisition-order constraint with a bounded search over
-//! acquisition commutations. It is implemented in the sibling
-//! [`crate::Osr`] module as a second rule table over this module's
-//! metadata ([`SyncPCore`]: sections, observation edges, rendezvous
-//! rounds) — exactly the input that search consumes.
+//! acquisition commutations. The sibling [`crate::Osr`] module runs its
+//! first attempt (no reversals) through this module's closure check
+//! unchanged, and only pairs that abort here pay for its journaling rule
+//! table over the same metadata ([`SyncPCore`]: sections, observation
+//! edges, rendezvous rounds).
 
 pub(crate) mod strong;
 
@@ -182,9 +183,9 @@ pub(crate) struct BarrierState {
 /// Reusable scratch for one closure check; per-lock entries are generation
 /// stamped so resets are O(threads), not O(locks ever seen).
 #[derive(Clone, Debug, Default)]
-struct ClosureScratch {
+pub(crate) struct ClosureScratch {
     /// Per thread: number of events included in the ideal.
-    frontier: Vec<u32>,
+    pub(crate) frontier: Vec<u32>,
     /// Per thread: how many included events have been rule-processed.
     processed: Vec<u32>,
     /// Threads with `processed < frontier`.
@@ -379,9 +380,11 @@ impl SyncPCore {
     /// indexes `a < b`. Returns `true` when the pair is a sync-preserving
     /// race: the closure of both proper prefixes contains neither endpoint.
     ///
-    /// This is the seam an OSR-style analysis would replace: same metadata,
-    /// weaker rule 3.
-    fn check_pair(&self, scratch: &mut ClosureScratch, a: u32, b: u32) -> bool {
+    /// Linear in the ideal: rule 3 keeps only the latest included
+    /// acquisitions and the still-unreleased sections per lock. OSR runs
+    /// its reversal-free attempt through this check and falls back to its
+    /// pairwise journaling closure only when this one aborts.
+    pub(crate) fn check_pair(&self, scratch: &mut ClosureScratch, a: u32, b: u32) -> bool {
         let (ma, mb) = (self.meta[a as usize], self.meta[b as usize]);
         debug_assert_ne!(ma.tid, mb.tid);
         scratch.gen = scratch.gen.wrapping_add(1);
@@ -566,13 +569,12 @@ impl SyncPCore {
         !ordered
     }
 
-    /// The ideal of the last successful [`check_pair`](Self::check_pair),
-    /// as event indexes in trace order (reads the frontier left in
-    /// `scratch`).
-    fn ideal(&self, scratch: &ClosureScratch) -> Vec<u32> {
+    /// The ideal a successful closure left in `frontier` (per thread: the
+    /// number of included events), as event indexes in trace order.
+    pub(crate) fn ideal(&self, frontier: &[u32]) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
         for (t, ts) in self.threads.iter().enumerate() {
-            let upto = scratch.frontier.get(t).copied().unwrap_or(0) as usize;
+            let upto = frontier.get(t).copied().unwrap_or(0) as usize;
             out.extend_from_slice(&ts.proj[..upto.min(ts.proj.len())]);
         }
         out.sort_unstable();
@@ -712,39 +714,19 @@ impl SyncP {
         self.paths.slow += 1;
 
         let mut prior: Vec<ThreadId> = Vec::new();
-        let cur_holds = self.core.threads[t].held.clone();
-        let n_writes = self.vars[x.index()].writes.len();
-        let n_reads = if is_write {
-            self.vars[x.index()].reads.len()
-        } else {
-            0
-        };
-        for ci in 0..n_writes + n_reads {
-            let (cand_tid, cand_idx, racy);
-            {
-                let vs = &self.vars[x.index()];
-                let c = if ci < n_writes {
-                    &vs.writes[ci]
-                } else {
-                    &vs.reads[ci - n_writes]
-                };
-                if c.tid == t as u32 {
-                    continue;
-                }
-                let tid = ThreadId::new(c.tid);
-                if prior.contains(&tid) {
-                    continue;
-                }
-                if self.strong_ordered(t, c.idx) || Self::common_lock(&cur_holds, &c.holds) {
-                    continue;
-                }
-                racy = self.core.check_pair(&mut self.scratch, c.idx, idx);
-                cand_tid = tid;
-                cand_idx = c.idx;
+        let cur_holds = &self.core.threads[t].held;
+        let vs = &self.vars[x.index()];
+        let reads: &[Candidate] = if is_write { &vs.reads } else { &[] };
+        for c in vs.writes.iter().chain(reads) {
+            let tid = ThreadId::new(c.tid);
+            if c.tid == t as u32 || prior.contains(&tid) {
+                continue;
             }
-            let _ = cand_idx;
-            if racy {
-                prior.push(cand_tid);
+            if self.strong_ordered(t, c.idx) || Self::common_lock(cur_holds, &c.holds) {
+                continue;
+            }
+            if self.core.check_pair(&mut self.scratch, c.idx, idx) {
+                prior.push(tid);
             }
         }
         if !prior.is_empty() {
@@ -959,7 +941,11 @@ pub fn syncp_pair_ideal(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<E
     if !core.check_pair(&mut scratch, a.index() as u32, b.index() as u32) {
         return None;
     }
-    let mut order: Vec<EventId> = core.ideal(&scratch).into_iter().map(EventId::new).collect();
+    let mut order: Vec<EventId> = core
+        .ideal(&scratch.frontier)
+        .into_iter()
+        .map(EventId::new)
+        .collect();
     order.push(a);
     order.push(b);
     Some(order)

@@ -147,6 +147,7 @@ fn docs_exist_and_cover_every_format() {
         "validate_reversal_witness",
         "LockOrderReversed",
         "osr_differential",
+        "R = ∅ runs SyncP's linear `check_pair`",
     ] {
         assert!(text.contains(needle), "ARCHITECTURE.md lost `{needle}`");
     }
