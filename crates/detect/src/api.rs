@@ -239,7 +239,11 @@ pub trait Detector {
     fn footprint_bytes(&self) -> usize;
 
     /// Cheap running estimate of resident metadata bytes, safe to call on
-    /// the per-event sampling stride: O(#tables), never O(#variables).
+    /// the per-event sampling stride. It reads table capacities and
+    /// running counters: never O(#variables), and at most one pass over
+    /// per-lock or per-thread rows (O(#locks + #threads)), never the
+    /// O(#locks × #threads) rule (b) logs, whose queues keep a running
+    /// byte counter. The race report's share is O(races).
     ///
     /// Detectors with dense id-indexed tables report their table
     /// capacities plus any incrementally-tracked heap structures;
@@ -251,6 +255,14 @@ pub trait Detector {
     /// walks are already cheap.
     fn state_bytes(&self) -> usize {
         self.footprint_bytes()
+    }
+
+    /// [`state_bytes`](Detector::state_bytes) with every running counter
+    /// replaced by the table walk it stands for. A test hook: the two must
+    /// always be equal.
+    #[doc(hidden)]
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes()
     }
 
     /// FTO case frequencies (Appendix Table 12), if this detector tracks

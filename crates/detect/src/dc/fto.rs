@@ -340,6 +340,10 @@ impl<const RULE_B: bool> Detector for FtoDcLike<RULE_B> {
             + self.report.footprint_bytes()
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn case_counters(&self) -> Option<&FtoCaseCounters> {
         Some(&self.counters)
     }

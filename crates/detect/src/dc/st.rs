@@ -591,6 +591,10 @@ impl<const RULE_B: bool> Detector for SmartTrackDcLike<RULE_B> {
             + self.vars.capacity() * std::mem::size_of::<StVar>()
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn case_counters(&self) -> Option<&FtoCaseCounters> {
         Some(&self.counters)
     }

@@ -468,6 +468,10 @@ impl<const RULE_B: bool> Detector for UnoptDcLike<RULE_B> {
                 .map_or(0, ConstraintGraph::footprint_bytes)
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn hot_path_stats(&self) -> HotPathStats {
         HotPathStats {
             fast_hits: self.paths.fast,

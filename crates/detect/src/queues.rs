@@ -92,8 +92,23 @@ impl CsLog {
     }
 }
 
+/// Runs `f` on a log and returns by how many bytes its
+/// [`CsLog::resident_bytes`] grew (capacities never shrink: `drain`
+/// keeps them).
+fn log_growth(log: &mut CsLog, f: impl FnOnce(&mut CsLog)) -> usize {
+    let before = log.resident_bytes();
+    f(log);
+    log.resident_bytes() - before
+}
+
+/// Resident bytes of one cursor row (its capacity).
+#[allow(clippy::ptr_arg)]
+fn cursor_row_bytes(row: &Vec<usize>) -> usize {
+    row.capacity() * std::mem::size_of::<usize>()
+}
+
 /// The DC rule (b) queues (`Acq_{m,t}(t')` / `Rel_{m,t}(t')`).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DcRuleBQueues {
     /// `logs[m][t']` — acquire/release log of thread `t'` on lock `m`.
     logs: Vec<Vec<CsLog>>,
@@ -102,6 +117,23 @@ pub struct DcRuleBQueues {
     /// Total thread count, if known: enables sound compaction (an entry can
     /// only be dropped once *every* possible releaser has consumed it).
     thread_bound: Option<usize>,
+    /// Running [`resident_bytes`](DcRuleBQueues::resident_bytes): updated
+    /// wherever a log or cursor row can grow its capacity.
+    resident: usize,
+}
+
+impl Clone for DcRuleBQueues {
+    /// Cloned `Vec`s shrink to their length, so the counter is recomputed.
+    fn clone(&self) -> Self {
+        let mut q = DcRuleBQueues {
+            logs: self.logs.clone(),
+            cursors: self.cursors.clone(),
+            thread_bound: self.thread_bound,
+            resident: 0,
+        };
+        q.resident = q.walk_resident_bytes();
+        q
+    }
 }
 
 impl DcRuleBQueues {
@@ -127,9 +159,10 @@ impl DcRuleBQueues {
     /// Handles `acq(m)` by `t` (Algorithm 1 line 2 / Algorithm 3 line 2).
     /// `write` is the hold mode: `false` for read-mode rwlock sections.
     pub fn on_acquire(&mut self, m: LockId, t: ThreadId, entry: &AcqEntry, write: bool) {
-        let log = self.log_mut(m, t);
-        log.acq.push(entry.clone());
-        log.write.push(write);
+        self.resident += log_growth(self.log_mut(m, t), |log| {
+            log.acq.push(entry.clone());
+            log.write.push(write);
+        });
     }
 
     /// Handles `rel(m)` by `t` (Algorithm 1 lines 4–8): consumes every other
@@ -167,7 +200,9 @@ impl DcRuleBQueues {
         }
         let row = &mut lock_cursors[t.index()];
         if row.len() < nthreads {
+            let before = cursor_row_bytes(row);
             row.resize(nthreads, 0);
+            self.resident += cursor_row_bytes(row) - before;
         }
         for (u, log) in lock_logs.iter().enumerate() {
             if u == t.index() {
@@ -212,12 +247,14 @@ impl DcRuleBQueues {
             }
         }
         // Publish t's own release (matching its oldest un-released acquire).
-        let own = &mut lock_logs[t.index()];
-        own.rel.push(RelEntry {
-            clock: now.clone(),
-            event: release_event,
+        self.resident += log_growth(&mut lock_logs[t.index()], |own| {
+            own.rel.push(RelEntry {
+                clock: now.clone(),
+                event: release_event,
+            });
+            debug_assert!(own.rel.len() <= own.acq.len(), "release without acquire");
         });
-        debug_assert!(own.rel.len() <= own.acq.len(), "release without acquire");
+        // Compaction drains, which keeps every capacity: `resident` holds.
         self.compact(m);
     }
 
@@ -273,8 +310,16 @@ impl DcRuleBQueues {
             + self.cursor_bytes()
     }
 
-    /// Cheap resident bytes (capacities only, O(#locks × #threads)).
+    /// Cheap resident bytes (log and cursor capacities), O(1): a running
+    /// counter equal to [`walk_resident_bytes`](Self::walk_resident_bytes).
     pub fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.resident, self.walk_resident_bytes());
+        self.resident
+    }
+
+    /// [`resident_bytes`](Self::resident_bytes) recomputed by walking every
+    /// log and cursor row, O(#locks × #threads).
+    pub(crate) fn walk_resident_bytes(&self) -> usize {
         self.logs
             .iter()
             .flat_map(|l| l.iter())
@@ -287,7 +332,7 @@ impl DcRuleBQueues {
         self.cursors
             .iter()
             .flat_map(|l| l.iter())
-            .map(|r| r.capacity() * std::mem::size_of::<usize>())
+            .map(cursor_row_bytes)
             .sum::<usize>()
     }
 }
@@ -297,11 +342,26 @@ impl DcRuleBQueues {
 ///
 /// Acquire entries are epochs of the acquirer's HB clock; release entries are
 /// full HB clocks of the matching releases.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct WcpRuleBQueues {
     /// `per_lock[m][t']` — shared acquire/release queue of `m`-critical
     /// sections by `t'`, with a single consumption cursor.
     per_lock: Vec<Vec<CsLog>>,
+    /// Running [`resident_bytes`](WcpRuleBQueues::resident_bytes): updated
+    /// wherever a log can grow its capacity.
+    resident: usize,
+}
+
+impl Clone for WcpRuleBQueues {
+    /// Cloned `Vec`s shrink to their length, so the counter is recomputed.
+    fn clone(&self) -> Self {
+        let mut q = WcpRuleBQueues {
+            per_lock: self.per_lock.clone(),
+            resident: 0,
+        };
+        q.resident = q.walk_resident_bytes();
+        q
+    }
 }
 
 impl WcpRuleBQueues {
@@ -318,20 +378,22 @@ impl WcpRuleBQueues {
     /// Records `acq(m)` by `t` with local HB clock value `local`.
     /// `write` is the hold mode: `false` for read-mode rwlock sections.
     pub fn on_acquire(&mut self, m: LockId, t: ThreadId, local: ClockValue, write: bool) {
-        let log = self.log_mut(m, t);
-        log.acq.push(AcqEntry::Epoch(local));
-        log.write.push(write);
+        self.resident += log_growth(self.log_mut(m, t), |log| {
+            log.acq.push(AcqEntry::Epoch(local));
+            log.write.push(write);
+        });
     }
 
     /// Records the release time matching the oldest un-matched acquire of `m`
     /// by `t` (call at `rel(m)` by `t` after [`WcpRuleBQueues::consume`]).
     pub fn on_release_publish(&mut self, m: LockId, t: ThreadId, hb: &VectorClock, event: EventId) {
-        let log = self.log_mut(m, t);
-        log.rel.push(RelEntry {
-            clock: hb.clone(),
-            event,
+        self.resident += log_growth(self.log_mut(m, t), |log| {
+            log.rel.push(RelEntry {
+                clock: hb.clone(),
+                event,
+            });
+            debug_assert!(log.rel.len() <= log.acq.len(), "release without acquire");
         });
-        debug_assert!(log.rel.len() <= log.acq.len(), "release without acquire");
     }
 
     /// At `rel(m)` by `t`: consumes every other thread's acquires that are
@@ -388,8 +450,17 @@ impl WcpRuleBQueues {
             .sum()
     }
 
-    /// Cheap resident bytes (capacities only, O(#locks × #threads)).
+    /// Cheap resident bytes (log capacities), O(1): a running counter
+    /// equal to [`walk_resident_bytes`](Self::walk_resident_bytes).
+    /// Consumption drains, which keeps every capacity.
     pub fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.resident, self.walk_resident_bytes());
+        self.resident
+    }
+
+    /// [`resident_bytes`](Self::resident_bytes) recomputed by walking every
+    /// log, O(#locks × #threads).
+    pub(crate) fn walk_resident_bytes(&self) -> usize {
         self.per_lock
             .iter()
             .flat_map(|l| l.iter())

@@ -292,6 +292,10 @@ impl Detector for FtoWcp {
             + self.report.footprint_bytes()
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn case_counters(&self) -> Option<&FtoCaseCounters> {
         Some(&self.counters)
     }

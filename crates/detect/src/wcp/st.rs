@@ -526,6 +526,10 @@ impl Detector for SmartTrackWcp {
             + self.vars.capacity() * std::mem::size_of::<StVar>()
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn case_counters(&self) -> Option<&FtoCaseCounters> {
         Some(&self.counters)
     }

@@ -264,6 +264,10 @@ impl Detector for UnoptWcp {
             + self.report.footprint_bytes()
     }
 
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.queues.resident_bytes() + self.queues.walk_resident_bytes()
+    }
+
     fn hot_path_stats(&self) -> HotPathStats {
         HotPathStats {
             fast_hits: self.paths.fast,

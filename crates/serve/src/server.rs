@@ -82,8 +82,9 @@ pub struct ServerConfig {
     /// by threads × variables). A deployment that enables a `syncp` or
     /// `osr` lane should bound session length — finish and reopen
     /// sessions periodically — rather than stream one session
-    /// indefinitely; `state_bytes` in the stats frame reports the growth
-    /// honestly.
+    /// indefinitely. A `Query(Snapshot)` reports the growth: each lane of
+    /// the `Snapshot` frame carries its `footprint_bytes` and
+    /// `peak_footprint_bytes`.
     pub analyses: Vec<AnalysisConfig>,
     /// Worker pool size; `None` defers to `SMARTTRACK_WORKERS` and then
     /// detected parallelism, exactly like [`worker_count`].

@@ -299,8 +299,28 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads one LEB128 u64 from `bytes` starting at `*pos` (offsets relative to
-/// `base` for error reporting).
+/// `base` for error reporting). Single-byte varints — most event heads and
+/// deltas — decode inline; longer ones and errors take the out-of-line
+/// [`read_varint_long`].
+#[inline(always)]
 fn read_varint(
+    bytes: &[u8],
+    pos: &mut usize,
+    base: u64,
+    context: &'static str,
+) -> Result<u64, StbError> {
+    match bytes.get(*pos) {
+        Some(&byte) if byte & 0x80 == 0 => {
+            *pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => read_varint_long(bytes, pos, base, context),
+    }
+}
+
+/// [`read_varint`]'s multi-byte and error path.
+#[inline(never)]
+fn read_varint_long(
     bytes: &[u8],
     pos: &mut usize,
     base: u64,
@@ -310,17 +330,11 @@ fn read_varint(
     let mut shift = 0u32;
     loop {
         let Some(&byte) = bytes.get(*pos) else {
-            return Err(StbError::Truncated {
-                offset: base + *pos as u64,
-                context,
-            });
+            return Err(truncated(base + *pos as u64, context));
         };
         *pos += 1;
         if shift == 63 && byte > 1 {
-            return Err(StbError::Corrupt {
-                offset: base + *pos as u64 - 1,
-                message: format!("varint overflows 64 bits while reading {context}"),
-            });
+            return Err(varint_overflow(base + *pos as u64 - 1, context));
         }
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -356,10 +370,7 @@ fn read_varint_io<R: Read>(
         first = false;
         let byte = byte[0];
         if shift == 63 && byte > 1 {
-            return Err(StbError::Corrupt {
-                offset: r.offset() - 1,
-                message: format!("varint overflows 64 bits while reading {context}"),
-            });
+            return Err(varint_overflow(r.offset() - 1, context));
         }
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -591,11 +602,41 @@ fn encode_run(
     }
 }
 
+#[inline(always)]
 fn id_from_i64(v: i64, offset: u64, what: &str) -> Result<u32, StbError> {
-    u32::try_from(v).map_err(|_| StbError::Corrupt {
+    match u32::try_from(v) {
+        Ok(id) => Ok(id),
+        Err(_) => Err(corrupt(
+            offset,
+            format_args!("{what} delta decodes to {v}, outside the u32 id range"),
+        )),
+    }
+}
+
+// Error constructors, kept out of line so the decode loops stay tight.
+
+#[cold]
+#[inline(never)]
+fn corrupt(offset: u64, message: fmt::Arguments<'_>) -> StbError {
+    StbError::Corrupt {
         offset,
-        message: format!("{what} delta decodes to {v}, outside the u32 id range"),
-    })
+        message: message.to_string(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn truncated(offset: u64, context: &'static str) -> StbError {
+    StbError::Truncated { offset, context }
+}
+
+#[cold]
+#[inline(never)]
+fn varint_overflow(offset: u64, context: &'static str) -> StbError {
+    corrupt(
+        offset,
+        format_args!("varint overflows 64 bits while reading {context}"),
+    )
 }
 
 /// Decodes the payload of one chunk into `sink`. `version` selects the
@@ -616,25 +657,24 @@ fn decode_chunk(
     let mut decoded: u64 = 0;
     while decoded < expected {
         let tid = read_varint(payload, &mut pos, base, "run thread id")?;
-        let tid = u32::try_from(tid).map_err(|_| StbError::Corrupt {
-            offset: base + pos as u64,
-            message: format!("run thread id {tid} outside the u32 id range"),
-        })?;
+        let Ok(tid) = u32::try_from(tid) else {
+            return Err(corrupt(
+                base + pos as u64,
+                format_args!("run thread id {tid} outside the u32 id range"),
+            ));
+        };
         let run_len = read_varint(payload, &mut pos, base, "run length")?;
         if run_len == 0 {
-            return Err(StbError::Corrupt {
-                offset: base + pos as u64,
-                message: "zero-length run".to_string(),
-            });
+            return Err(corrupt(base + pos as u64, format_args!("zero-length run")));
         }
         if run_len > expected - decoded {
-            return Err(StbError::Corrupt {
-                offset: base + pos as u64,
-                message: format!(
+            return Err(corrupt(
+                base + pos as u64,
+                format_args!(
                     "run of {run_len} events overflows the chunk's declared count \
                      ({decoded} of {expected} decoded)"
                 ),
-            });
+            ));
         }
         for _ in 0..run_len {
             let head = read_varint(payload, &mut pos, base, "event header")?;
@@ -643,10 +683,10 @@ fn decode_chunk(
             let delta = unzigzag(head >> (bits + 1));
             let here = base + pos as u64;
             if tag > max_tag {
-                return Err(StbError::Corrupt {
-                    offset: here,
-                    message: format!("unknown op tag {tag} (version {version})"),
-                });
+                return Err(corrupt(
+                    here,
+                    format_args!("unknown op tag {tag} (version {version})"),
+                ));
             }
             let prev = state.register_for(tag);
             let target = id_from_i64(i64::from(*prev) + delta, here, "target id")?;
@@ -688,13 +728,13 @@ fn decode_chunk(
         decoded += run_len;
     }
     if pos != payload.len() {
-        return Err(StbError::Corrupt {
-            offset: base + pos as u64,
-            message: format!(
+        return Err(corrupt(
+            base + pos as u64,
+            format_args!(
                 "{} trailing byte(s) after the chunk's {expected} declared event(s)",
                 payload.len() - pos
             ),
-        });
+        ));
     }
     Ok(())
 }
@@ -965,8 +1005,13 @@ impl<W: Write> StbWriter<W> {
 pub struct StbReader<R: Read> {
     input: CountingReader<R>,
     header: StbHeader,
-    /// Decoded events of the current chunk, drained front to back.
-    chunk: std::vec::IntoIter<Event>,
+    /// The current chunk's payload bytes, reused across chunks.
+    payload: Vec<u8>,
+    /// Decoded events of the current chunk (reused across chunks), drained
+    /// front to back from `next`.
+    chunk: Vec<Event>,
+    /// Index of the next undrained event in `chunk`.
+    next: usize,
     /// Set once the terminator (or a fatal error) was seen.
     done: bool,
     /// Events decoded (yielded or skipped) so far.
@@ -1022,7 +1067,9 @@ impl<R: Read> StbReader<R> {
         Ok(StbReader {
             input,
             header: StbHeader { version, hint },
-            chunk: Vec::new().into_iter(),
+            payload: Vec::new(),
+            chunk: Vec::new(),
+            next: 0,
             done: false,
             position: 0,
         })
@@ -1038,9 +1085,10 @@ impl<R: Read> StbReader<R> {
         self.position
     }
 
-    /// Reads one chunk frame. Returns the payload and its declared event
-    /// count, or `None` at the terminator / clean EOF.
-    fn next_frame(&mut self) -> Result<Option<(Vec<u8>, u64, u64)>, StbError> {
+    /// Reads one chunk frame into `payload`. Returns its declared event
+    /// count and the payload's offset, or `None` at the terminator / clean
+    /// EOF.
+    fn next_frame(&mut self) -> Result<Option<(u64, u64)>, StbError> {
         let Some(len) = read_varint_io(&mut self.input, "chunk length")? else {
             // Missing terminator: the file was cut at a chunk boundary. Be
             // strict — a truncated recording should not silently pass.
@@ -1074,23 +1122,30 @@ impl<R: Read> StbReader<R> {
         }
         check_chunk_count(count, len, self.input.offset())?;
         let base = self.input.offset();
-        let mut payload = vec![0u8; len as usize];
-        self.input.read_exact(&mut payload, "chunk payload")?;
-        Ok(Some((payload, count, base)))
+        self.payload.clear();
+        self.payload.resize(len as usize, 0);
+        self.input.read_exact(&mut self.payload, "chunk payload")?;
+        Ok(Some((count, base)))
     }
 
     /// Loads and decodes the next chunk into the event buffer. Returns
     /// `false` at end of stream.
     fn load_chunk(&mut self) -> Result<bool, StbError> {
-        let Some((payload, count, base)) = self.next_frame()? else {
+        self.chunk.clear();
+        self.next = 0;
+        let Some((count, base)) = self.next_frame()? else {
             return Ok(false);
         };
-        let mut events = Vec::with_capacity(count as usize);
-        decode_chunk(&payload, self.header.version, count, base, |e| {
-            events.push(e)
-        })?;
-        self.chunk = events.into_iter();
-        Ok(true)
+        self.chunk.reserve(count as usize);
+        let chunk = &mut self.chunk;
+        let decoded = decode_chunk(&self.payload, self.header.version, count, base, |e| {
+            chunk.push(e)
+        });
+        if decoded.is_err() {
+            // A chunk is all or nothing: yield none of a corrupt one.
+            self.chunk.clear();
+        }
+        decoded.map(|()| true)
     }
 
     /// Skips the next whole chunk without decoding its events (any events
@@ -1105,8 +1160,9 @@ impl<R: Read> StbReader<R> {
     ///
     /// Frame-level errors only — the skipped payload is not validated.
     pub fn skip_chunk(&mut self) -> Result<Option<u64>, StbError> {
-        let dropped = self.chunk.len() as u64;
-        self.chunk = Vec::new().into_iter();
+        let dropped = (self.chunk.len() - self.next) as u64;
+        self.chunk.clear();
+        self.next = 0;
         if dropped > 0 {
             self.position += dropped;
             return Ok(Some(dropped));
@@ -1119,7 +1175,7 @@ impl<R: Read> StbReader<R> {
                 self.done = true;
                 Ok(None)
             }
-            Ok(Some((_, count, _))) => {
+            Ok(Some((count, _))) => {
                 self.position += count;
                 Ok(Some(count))
             }
@@ -1139,7 +1195,8 @@ impl<R: Read> Iterator for StbReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(event) = self.chunk.next() {
+            if let Some(&event) = self.chunk.get(self.next) {
+                self.next += 1;
                 self.position += 1;
                 return Some(Ok(event));
             }
@@ -1525,11 +1582,17 @@ impl StbAssembler {
         }
         let payload_base = base + pos as u64;
         let version = self.header.as_ref().expect("header parsed").version;
-        let mut decoded = Vec::with_capacity(count as usize);
-        decode_chunk(&bytes[pos..pos + len], version, count, payload_base, |e| {
-            decoded.push(e)
-        })?;
-        self.events.extend(decoded);
+        let queued = self.events.len();
+        let events = &mut self.events;
+        events.reserve(count as usize);
+        let decoded = decode_chunk(&bytes[pos..pos + len], version, count, payload_base, |e| {
+            events.push_back(e)
+        });
+        if let Err(e) = decoded {
+            // A chunk is all or nothing: queue none of a corrupt one.
+            self.events.truncate(queued);
+            return Err(e);
+        }
         self.position += count;
         self.consume(pos + len);
         Ok(Advance::Progress)

@@ -43,6 +43,56 @@ impl LockHolder {
     }
 }
 
+/// Raw lock ids below this bound index [`LockTable`]'s direct-mapped slots
+/// (grown on demand), which caps that table at 4 MiB the way the session
+/// interner caps its own; ids at or above it — an id spray — go to a hash
+/// map instead.
+const DIRECT_LOCKS: usize = (4 << 20) / std::mem::size_of::<Option<LockHolder>>();
+
+/// Lock ownership by raw lock id, with no hashing below [`DIRECT_LOCKS`].
+/// A lock with no entry is free.
+#[derive(Clone, Debug, Default)]
+struct LockTable {
+    /// `direct[m]` — the holder of lock `m < DIRECT_LOCKS`.
+    direct: Vec<Option<LockHolder>>,
+    /// Holders of locks at or above [`DIRECT_LOCKS`].
+    spill: HashMap<LockId, LockHolder>,
+}
+
+impl LockTable {
+    #[inline]
+    fn get(&self, m: LockId) -> Option<&LockHolder> {
+        match self.direct.get(m.index()) {
+            Some(slot) => slot.as_ref(),
+            None if m.index() < DIRECT_LOCKS => None,
+            None => self.spill.get(&m),
+        }
+    }
+
+    /// Removes and returns `m`'s holder, leaving the lock free.
+    #[inline]
+    fn take(&mut self, m: LockId) -> Option<LockHolder> {
+        match self.direct.get_mut(m.index()) {
+            Some(slot) => slot.take(),
+            None if m.index() < DIRECT_LOCKS => None,
+            None => self.spill.remove(&m),
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, m: LockId, holder: LockHolder) {
+        let i = m.index();
+        if i < DIRECT_LOCKS {
+            if i >= self.direct.len() {
+                self.direct.resize(i + 1, None);
+            }
+            self.direct[i] = Some(holder);
+        } else {
+            self.spill.insert(m, holder);
+        }
+    }
+}
+
 /// Per-barrier party accounting for the round rules (see [`Op::BarrierEnter`]):
 /// a round *gathers* entering threads until the first exit, then *drains* —
 /// every gathered thread must exit exactly once before anyone may enter
@@ -78,7 +128,7 @@ struct BarrierParties {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct StreamValidator {
-    lock_holder: HashMap<LockId, LockHolder>,
+    lock_holder: LockTable,
     barriers: HashMap<BarrierId, BarrierParties>,
     started: Vec<bool>,
     forked: Vec<bool>,
@@ -130,7 +180,7 @@ impl StreamValidator {
         }
         match e.op {
             Op::Acquire(m) | Op::AcqWrite(m) => {
-                if let Some(holder) = self.lock_holder.get(&m) {
+                if let Some(holder) = self.lock_holder.get(m) {
                     return Err(TraceError::AcquireHeldLock {
                         at,
                         tid: e.tid,
@@ -142,7 +192,7 @@ impl StreamValidator {
             Op::AcqRead(m) => {
                 // Read-acquisition is compatible with other readers, but not
                 // with a writer and not re-entrantly with itself.
-                match self.lock_holder.get(&m) {
+                match self.lock_holder.get(m) {
                     Some(LockHolder::Writer(w)) => {
                         return Err(TraceError::AcquireHeldLock {
                             at,
@@ -175,7 +225,7 @@ impl StreamValidator {
                 let _ = m;
             }
             Op::Release(m) => {
-                if !self.lock_holder.get(&m).is_some_and(|h| h.held_by(e.tid)) {
+                if !self.lock_holder.get(m).is_some_and(|h| h.held_by(e.tid)) {
                     return Err(TraceError::ReleaseUnheldLock {
                         at,
                         tid: e.tid,
@@ -203,7 +253,7 @@ impl StreamValidator {
                 // Wait is an atomic release-and-reacquire of the monitor:
                 // the thread must hold it exclusively (a read-mode hold is
                 // not a monitor) and still holds it afterwards.
-                if self.lock_holder.get(&m) != Some(&LockHolder::Writer(e.tid)) {
+                if self.lock_holder.get(m) != Some(&LockHolder::Writer(e.tid)) {
                     return Err(TraceError::WaitWithoutLock {
                         at,
                         tid: e.tid,
@@ -254,18 +304,17 @@ impl StreamValidator {
         self.mark_thread(e.tid);
         match e.op {
             Op::Acquire(m) | Op::AcqWrite(m) => {
-                self.lock_holder.insert(m, LockHolder::Writer(e.tid));
+                self.lock_holder.put(m, LockHolder::Writer(e.tid));
                 self.num_locks = self.num_locks.max(m.index() + 1);
             }
             Op::AcqRead(m) => {
-                match self
-                    .lock_holder
-                    .entry(m)
-                    .or_insert_with(|| LockHolder::Readers(Vec::new()))
-                {
-                    LockHolder::Readers(ts) => ts.push(e.tid),
-                    LockHolder::Writer(_) => unreachable!("validated above"),
-                }
+                let mut readers = match self.lock_holder.take(m) {
+                    Some(LockHolder::Readers(ts)) => ts,
+                    None => Vec::new(),
+                    Some(LockHolder::Writer(_)) => unreachable!("validated above"),
+                };
+                readers.push(e.tid);
+                self.lock_holder.put(m, LockHolder::Readers(readers));
                 self.num_locks = self.num_locks.max(m.index() + 1);
             }
             Op::TryAcqFail(m) => {
@@ -273,16 +322,15 @@ impl StreamValidator {
                 self.num_locks = self.num_locks.max(m.index() + 1);
             }
             Op::Release(m) => {
-                let drop_entry = match self.lock_holder.get_mut(&m) {
-                    Some(LockHolder::Writer(_)) => true,
-                    Some(LockHolder::Readers(ts)) => {
+                match self.lock_holder.take(m) {
+                    Some(LockHolder::Writer(_)) => {}
+                    Some(LockHolder::Readers(mut ts)) => {
                         ts.retain(|&t| t != e.tid);
-                        ts.is_empty()
+                        if !ts.is_empty() {
+                            self.lock_holder.put(m, LockHolder::Readers(ts));
+                        }
                     }
                     None => unreachable!("validated above"),
-                };
-                if drop_entry {
-                    self.lock_holder.remove(&m);
                 }
                 self.num_locks = self.num_locks.max(m.index() + 1);
             }
@@ -550,5 +598,54 @@ mod tests {
         assert_eq!(b, EventId::new(1));
         assert_eq!(v.num_threads(), 2);
         assert_eq!(v.num_vars(), 4);
+    }
+
+    #[test]
+    fn spilled_lock_ids_validate_like_direct_ones() {
+        use crate::TraceError;
+        // One script of holds, shares and violations, run on a direct-mapped
+        // id, the last direct id, the first spilled id and the largest id.
+        let script = |m: LockId| {
+            let mut v = StreamValidator::new();
+            let ops = [
+                (0, Op::Acquire(m)),
+                (1, Op::Acquire(m)),
+                (1, Op::Release(m)),
+                (0, Op::Release(m)),
+                (0, Op::AcqRead(m)),
+                (1, Op::AcqRead(m)),
+                (1, Op::AcqRead(m)),
+                (2, Op::AcqWrite(m)),
+                (0, Op::Release(m)),
+                (0, Op::Release(m)),
+                (1, Op::Release(m)),
+                (2, Op::AcqWrite(m)),
+                (2, Op::Release(m)),
+            ];
+            let outcomes: Vec<_> = ops
+                .iter()
+                .map(|&(tid, op)| match v.admit(&Event::new(t(tid), op)) {
+                    Ok(_) => None,
+                    Err(TraceError::AcquireHeldLock { holder, .. }) => Some(Ok(holder)),
+                    Err(TraceError::ReleaseUnheldLock { tid, .. }) => Some(Err(tid)),
+                    Err(e) => panic!("unexpected {e}"),
+                })
+                .collect();
+            assert!(v.lock_holder.direct.len() <= DIRECT_LOCKS);
+            assert!(
+                v.lock_holder.spill.is_empty(),
+                "released locks leave no entry"
+            );
+            (outcomes, v.len())
+        };
+        let direct = script(LockId::new(3));
+        assert_eq!(
+            direct.0.iter().filter(|o| o.is_some()).count(),
+            5,
+            "the script exercises every rejection: {direct:?}"
+        );
+        for raw in [DIRECT_LOCKS as u32 - 1, DIRECT_LOCKS as u32, u32::MAX] {
+            assert_eq!(script(LockId::new(raw)), direct, "lock id {raw}");
+        }
     }
 }

@@ -323,3 +323,84 @@ fn state_estimate_never_exceeds_exact_walk() {
         }
     }
 }
+
+/// The rule (b) queues keep a running byte counter instead of walking
+/// their per-(lock, thread) logs. After every event, every Table-1 cell
+/// that owns rule (b) queues must report the `state_bytes` that walk would
+/// give: through rwlock read sections (peeks that never drain),
+/// `set_thread_bound` compaction, and a mid-stream `clone()`, whose
+/// `Vec`s shrink to their lengths.
+#[test]
+fn rule_b_queue_counters_match_the_capacity_walk() {
+    use smarttrack::detect::{
+        FtoDc, FtoWcp, FtoWdc, SmartTrackDc, SmartTrackWcp, SmartTrackWdc, UnoptDc, UnoptWcp,
+        UnoptWdc,
+    };
+    use smarttrack::{Detector, StreamHint};
+    use smarttrack_trace::gen::RandomTraceSpec;
+    use smarttrack_trace::EventId;
+
+    fn assert_walk<D: Detector>(det: &D, label: &str, at: usize) {
+        assert_eq!(
+            det.state_bytes(),
+            det.state_bytes_walk(),
+            "{label}: {} counter drifted from the walk after event {at}",
+            det.name()
+        );
+    }
+
+    fn check<D: Detector + Clone>(make: impl Fn() -> D) {
+        let spec = RandomTraceSpec {
+            threads: 3,
+            events: 3_000,
+            vars: 8,
+            locks: 2,
+            acquire_prob: 0.35,
+            release_prob: 0.3,
+            max_nesting: 2,
+            rwlocks: 1,
+            rw_read_prob: 0.2,
+            rw_write_prob: 0.1,
+            rw_release_prob: 0.3,
+            try_fail_prob: 0.05,
+            ..RandomTraceSpec::default()
+        };
+        for seed in 0..4u64 {
+            let trace = spec.generate(seed);
+            // Odd seeds announce the thread count, which lets the DC
+            // queues compact consumed log prefixes.
+            let bounded = seed % 2 == 1;
+            let label = format!("seed {seed}, thread bound {bounded}");
+            let mut det = make();
+            if bounded {
+                det.begin_stream(StreamHint::of_trace(&trace));
+            }
+            let events = trace.events();
+            let mid = events.len() / 2;
+            for (i, event) in events[..mid].iter().enumerate() {
+                det.process(EventId::new(i as u32), event);
+                assert_walk(&det, &label, i);
+            }
+            let mut twin = det.clone();
+            assert_walk(&twin, &format!("{label}, clone"), mid);
+            for (i, event) in events.iter().enumerate().skip(mid) {
+                det.process(EventId::new(i as u32), event);
+                twin.process(EventId::new(i as u32), event);
+                assert_walk(&det, &label, i);
+                assert_walk(&twin, &format!("{label}, clone"), i);
+            }
+            assert_eq!(det.report(), twin.report(), "{label}: clone diverged");
+        }
+    }
+
+    check(UnoptWcp::new);
+    check(FtoWcp::new);
+    check(SmartTrackWcp::new);
+    check(UnoptDc::new);
+    check(|| UnoptDc::with_graph_recording(true));
+    check(FtoDc::new);
+    check(SmartTrackDc::new);
+    check(UnoptWdc::new);
+    check(FtoWdc::new);
+    check(SmartTrackWdc::new);
+}

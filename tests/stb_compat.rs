@@ -21,7 +21,7 @@ use smarttrack_trace::binary::{
 };
 use smarttrack_trace::gen::RandomTraceSpec;
 use smarttrack_trace::{
-    paper, BarrierId, CondId, LockId, Op, ThreadId, Trace, TraceBuilder, VarId,
+    paper, BarrierId, CondId, Event, Loc, LockId, Op, ThreadId, Trace, TraceBuilder, VarId,
 };
 
 /// `paper::figure1()` as written by the v1 encoder (34 bytes, header hint
@@ -192,4 +192,178 @@ fn sessions_presize_from_v2_hints() {
     let streamed = session.finish_one().report;
     let whole = smarttrack::analyze(&trace, config).report;
     assert_eq!(streamed, whole);
+}
+
+/// Values at the LEB128 one/two/three-byte edges and the top of the id
+/// range.
+const EDGES: [u32; 6] = [0, 127, 128, 16383, 16384, u32::MAX];
+
+/// Events whose thread ids, target ids, deltas (both signs) and locations
+/// sit on the varint edges. `Loc` reserves `u32::MAX` for "unknown", so
+/// locations stop one below it.
+fn edge_events(rw_ops: bool) -> Vec<Event> {
+    let loc = |v: u32| Loc::new(v.min(u32::MAX - 1));
+    let mut events = Vec::new();
+    let mut ramp = 0u32;
+    for (i, &a) in EDGES.iter().enumerate() {
+        let b = EDGES[EDGES.len() - 1 - i];
+        // Deltas of exactly 0, 127, 128, 16383 and 16384 on the var register.
+        ramp = ramp.wrapping_add(a.min(16384));
+        for (tid, op, at) in [
+            (a, Op::Write(VarId::new(a)), Some(loc(a))),
+            (a, Op::Read(VarId::new(b)), Some(loc(b))),
+            (a, Op::Acquire(LockId::new(b)), None),
+            (b, Op::Read(VarId::new(ramp)), Some(loc(ramp))),
+            (b, Op::VolatileWrite(VarId::new(a)), Some(loc(a))),
+            (b, Op::Release(LockId::new(a)), Some(loc(0))),
+        ] {
+            let tid = ThreadId::new(tid);
+            events.push(match at {
+                Some(l) => Event::with_loc(tid, op, l),
+                None => Event::new(tid, op),
+            });
+        }
+        if rw_ops {
+            let (t, m) = (ThreadId::new(b), LockId::new(a));
+            events.push(Event::with_loc(t, Op::AcqRead(m), loc(b)));
+            events.push(Event::new(t, Op::Wait(CondId::new(b), LockId::new(b))));
+            events.push(Event::new(t, Op::TryAcqFail(LockId::new(0))));
+        }
+    }
+    events
+}
+
+fn encode(events: &[Event], rw_ops: bool, chunk: usize) -> Vec<u8> {
+    use smarttrack_trace::binary::StbWriter;
+    let w = if rw_ops {
+        StbWriter::v3(Vec::new())
+    } else {
+        StbWriter::new(Vec::new())
+    };
+    let mut w = w.chunk_events(chunk);
+    for e in events {
+        w.write(e).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// What each decoder makes of `bytes`: the events, or the first error.
+fn decode_both(bytes: &[u8]) -> (Result<Vec<Event>, StbError>, Result<Vec<Event>, StbError>) {
+    use smarttrack_trace::binary::StbAssembler;
+    let reader = StbReader::new(bytes).and_then(|r| r.collect());
+    let assembled = (|| {
+        let mut asm = StbAssembler::new();
+        let mut events = Vec::new();
+        // Odd-sized pushes, so frames straddle push boundaries.
+        for piece in bytes.chunks(7) {
+            asm.push(piece)?;
+            events.extend(std::iter::from_fn(|| asm.next_event()));
+        }
+        asm.close()?;
+        Ok(events)
+    })();
+    (reader, assembled)
+}
+
+fn read_leb(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = bytes[*pos];
+        *pos += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    value
+}
+
+fn push_leb(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// FNV-1a, to pin a long list of decoder outcomes in one constant.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Varint edges round-trip through both decoders at every chunk size, and
+/// every cut — of the stream, and of a chunk payload inside each byte of
+/// its varints — fails at the same offset with the same error in both.
+/// The digest pins every outcome (offsets, contexts, messages), so a
+/// decoder change that moves any error fails here; flipping the high bit of
+/// each payload byte adds the corrupt paths to the list.
+#[test]
+fn varint_edges_round_trip_and_cut_errors_are_pinned() {
+    let mut outcomes = String::new();
+    for rw_ops in [false, true] {
+        let events = edge_events(rw_ops);
+        for chunk in [1, 3, 5, 64] {
+            let bytes = encode(&events, rw_ops, chunk);
+            let (reader, assembled) = decode_both(&bytes);
+            assert_eq!(reader.unwrap(), events, "reader, chunk {chunk}");
+            assert_eq!(assembled.unwrap(), events, "assembler, chunk {chunk}");
+        }
+
+        // Whole-stream cuts: every one is Truncated exactly at the cut.
+        let bytes = encode(&events, rw_ops, 5);
+        assert_eq!(bytes[4], if rw_ops { 3 } else { 1 });
+        for cut in 0..bytes.len() {
+            let (reader, assembled) = decode_both(&bytes[..cut]);
+            let (r, a) = (reader.unwrap_err(), assembled.unwrap_err());
+            assert!(
+                matches!(r, StbError::Truncated { offset, .. } if offset == cut as u64),
+                "cut {cut}: {r:?}"
+            );
+            assert_eq!(format!("{r:?}"), format!("{a:?}"), "cut {cut}");
+            outcomes += &format!("{rw_ops} stream {cut} {r:?}\n");
+        }
+
+        // One-chunk stream, re-framed with its payload cut to every length:
+        // the decode itself runs out of bytes, inside or between varints.
+        let bytes = encode(&events, rw_ops, events.len());
+        let mut pos = 6; // magic, version, flags; no hint
+        let len = read_leb(&bytes, &mut pos) as usize;
+        let count = read_leb(&bytes, &mut pos);
+        let payload = &bytes[pos..pos + len];
+        for k in 1..len {
+            let mut cut = bytes[..6].to_vec();
+            push_leb(&mut cut, k as u64);
+            push_leb(&mut cut, count);
+            let base = cut.len() as u64;
+            cut.extend_from_slice(&payload[..k]);
+            cut.push(0);
+            let (reader, assembled) = decode_both(&cut);
+            let (r, a) = (reader.unwrap_err(), assembled.unwrap_err());
+            if k as u64 >= count {
+                assert!(
+                    matches!(r, StbError::Truncated { offset, .. } if offset == base + k as u64),
+                    "payload cut {k}: {r:?}"
+                );
+            }
+            assert_eq!(format!("{r:?}"), format!("{a:?}"), "payload cut {k}");
+            outcomes += &format!("{rw_ops} payload {k} {r:?}\n");
+        }
+
+        // Corrupt paths: flip the continuation bit of every payload byte.
+        for i in 0..len {
+            let mut flipped = bytes.clone();
+            flipped[pos + i] ^= 0x80;
+            let (reader, assembled) = decode_both(&flipped);
+            let (r, a) = (format!("{reader:?}"), format!("{assembled:?}"));
+            assert_eq!(r, a, "flip {i}");
+            outcomes += &format!("{rw_ops} flip {i} {r}\n");
+        }
+    }
+    assert_eq!(
+        (outcomes.lines().count(), fnv1a(&outcomes)),
+        (1774, 0x33c2_93ed_dc29_0dd3),
+        "decoder outcomes drifted:\n{outcomes}"
+    );
 }
