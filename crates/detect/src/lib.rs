@@ -104,6 +104,8 @@ pub use pool::{
 };
 pub use osr::{osr_pair_witness, Osr};
 pub use report::{AccessKind, RaceReport, Report};
+#[doc(hidden)]
+pub use syncp::ClosureCounters;
 pub use syncp::{syncp_pair_ideal, SyncP};
 pub use wcp::{FtoWcp, SmartTrackWcp, UnoptWcp};
 

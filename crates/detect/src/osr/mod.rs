@@ -39,7 +39,9 @@
 //! Attempt `R = ∅` does not run the journaling closure at all: it runs
 //! SyncP's own [`SyncPCore::check_pair`], whose rule 3 keeps only the
 //! latest included acquisitions and the unreleased sections per lock, so
-//! it is linear in the ideal. The journaling closure applies rule 3
+//! it is linear in the ideal — and it resumes the thread pair's closure
+//! from the last check ([`PairClosures`]), so it walks only what the ideal
+//! gained since. The journaling closure applies rule 3
 //! pairwise over every included section — O(S²) per lock — because the
 //! abort handler needs each pull's pair identity. Both compute the same
 //! least fixpoint, so they agree on the verdict and, on commit, on the
@@ -67,7 +69,7 @@ use crate::common::slot;
 use crate::counters::PathCounters;
 use crate::report::{AccessKind, RaceReport, Report};
 use crate::syncp::strong::StrongState;
-use crate::syncp::{lw_slot, Candidate, ClosureScratch, SyncPCore, VarState, NONE};
+use crate::syncp::{lw_slot, Candidate, ClosureCounters, PairClosures, SyncPCore, VarState, NONE};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
 /// Maximum closure restarts per pair. Each restart commits one more
@@ -132,39 +134,43 @@ fn osr_close(
     debug_assert_ne!(ma.tid, mb.tid);
     scratch.gen = scratch.gen.wrapping_add(1);
     let nthreads = core.threads.len();
-    scratch.frontier.clear();
-    scratch.frontier.resize(nthreads, 0);
-    scratch.processed.clear();
-    scratch.processed.resize(nthreads, 0);
-    scratch.dirty.clear();
-    scratch.pulls.clear();
+    let OsrScratch {
+        frontier,
+        processed,
+        dirty,
+        gen,
+        locks,
+        barriers,
+        pulls,
+    } = scratch;
+    let gen = *gen;
+    frontier.clear();
+    frontier.resize(nthreads, 0);
+    processed.clear();
+    processed.resize(nthreads, 0);
+    dirty.clear();
+    pulls.clear();
 
     // `raise` returns `true` as soon as a rule forces either endpoint into
     // the ideal.
-    fn raise(
-        scratch: &mut OsrScratch,
-        ma: crate::syncp::EventMeta,
-        mb: crate::syncp::EventMeta,
-        t: u32,
-        upto: u32,
-    ) -> bool {
-        if upto > scratch.frontier[t as usize] {
+    let raise = |frontier: &mut [u32], dirty: &mut Vec<u32>, t: u32, upto: u32| -> bool {
+        if upto > frontier[t as usize] {
             if (t == ma.tid && upto > ma.tpos) || (t == mb.tid && upto > mb.tpos) {
                 return true;
             }
-            scratch.frontier[t as usize] = upto;
-            scratch.dirty.push(t);
+            frontier[t as usize] = upto;
+            dirty.push(t);
         }
         false
-    }
+    };
     let mut ordered =
-        raise(scratch, ma, mb, ma.tid, ma.tpos) || raise(scratch, ma, mb, mb.tid, mb.tpos);
+        raise(frontier, dirty, ma.tid, ma.tpos) || raise(frontier, dirty, mb.tid, mb.tpos);
     for m in [ma, mb] {
         if m.tpos == 0 {
             let f = core.threads[m.tid as usize].fork;
             if f != NONE {
                 let fm = core.meta[f as usize];
-                ordered |= raise(scratch, ma, mb, fm.tid, fm.tpos + 1);
+                ordered |= raise(frontier, dirty, fm.tid, fm.tpos + 1);
             }
         }
     }
@@ -172,85 +178,78 @@ fn osr_close(
         return false;
     }
 
-    'outer: while let Some(t) = scratch.dirty.pop() {
-        while scratch.processed[t as usize] < scratch.frontier[t as usize] {
+    'outer: while let Some(t) = dirty.pop() {
+        while processed[t as usize] < frontier[t as usize] {
             if ordered {
                 break 'outer;
             }
-            let pos = scratch.processed[t as usize];
-            scratch.processed[t as usize] = pos + 1;
+            let pos = processed[t as usize];
+            processed[t as usize] = pos + 1;
             let idx = core.threads[t as usize].proj[pos as usize];
             let m = core.meta[idx as usize];
             if m.tpos == 0 {
                 let f = core.threads[t as usize].fork;
                 if f != NONE {
                     let fm = core.meta[f as usize];
-                    ordered |= raise(scratch, ma, mb, fm.tid, fm.tpos + 1);
+                    ordered |= raise(frontier, dirty, fm.tid, fm.tpos + 1);
                 }
             }
             match m.op {
                 Op::Read(_) | Op::VolatileRead(_) if m.aux != NONE => {
                     let lw = core.meta[m.aux as usize];
-                    ordered |= raise(scratch, ma, mb, lw.tid, lw.tpos + 1);
+                    ordered |= raise(frontier, dirty, lw.tid, lw.tpos + 1);
                 }
                 Op::Wait(..) if m.aux != NONE => {
                     for &p in &core.prereqs[m.aux as usize] {
                         let pm = core.meta[p as usize];
-                        ordered |= raise(scratch, ma, mb, pm.tid, pm.tpos + 1);
+                        ordered |= raise(frontier, dirty, pm.tid, pm.tpos + 1);
                     }
                 }
                 Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
                     let rounds = &core.barriers[bar.index()].rounds;
                     let r = m.aux as usize;
-                    let gen = scratch.gen;
-                    let bsc = slot(&mut scratch.barriers, bar.index());
+                    let mut pull = |pool: u32| {
+                        for &p in &core.prereqs[pool as usize] {
+                            let pm = core.meta[p as usize];
+                            ordered |= raise(frontier, dirty, pm.tid, pm.tpos + 1);
+                        }
+                    };
+                    let bsc = slot(barriers, bar.index());
                     if bsc.touched.len() < rounds.len() {
                         bsc.touched.resize(rounds.len(), 0);
                         bsc.enter_next.resize(rounds.len(), 0);
                     }
-                    let mut pull: Vec<u32> = Vec::new();
                     if matches!(m.op, Op::BarrierExit(_)) {
-                        pull.push(rounds[r].0);
+                        pull(rounds[r].0);
                     }
                     if r < rounds.len() {
                         bsc.touched[r] = gen;
                         if bsc.enter_next[r] == gen {
-                            pull.push(rounds[r].1);
+                            pull(rounds[r].1);
                         }
                     }
                     if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
                         bsc.enter_next[r - 1] = gen;
                         if bsc.touched[r - 1] == gen {
-                            pull.push(rounds[r - 1].1);
-                        }
-                    }
-                    for pool in pull {
-                        for &p in &core.prereqs[pool as usize] {
-                            let pm = core.meta[p as usize];
-                            ordered |= raise(scratch, ma, mb, pm.tid, pm.tpos + 1);
+                            pull(rounds[r - 1].1);
                         }
                     }
                 }
                 Op::Join(u) => {
-                    let len = core.threads[u.index()].proj.len() as u32;
-                    ordered |= raise(scratch, ma, mb, u.index() as u32, len);
+                    ordered |= raise(frontier, dirty, u.raw(), m.aux);
                 }
-                Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) => {
-                    if m.aux == NONE {
-                        continue;
-                    }
+                Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) if m.aux != NONE => {
                     let s_idx = m.aux;
                     let s = core.sections[s_idx as usize];
-                    let ls = slot(&mut scratch.locks, s.lock as usize);
-                    if ls.gen != scratch.gen {
-                        ls.gen = scratch.gen;
+                    let ls = slot(locks, s.lock as usize);
+                    if ls.gen != gen {
+                        ls.gen = gen;
                         ls.sections.clear();
                     }
                     // Rule 3, pairwise against every included section of
                     // this lock. Unlike SyncP's max/pending encoding the
                     // full pair identity is needed here, because directive
                     // membership is per pair.
-                    let mut need_rel: Vec<u32> = Vec::new();
                     for &p_idx in &ls.sections {
                         let ps = core.sections[p_idx as usize];
                         if !(ps.write || s.write) {
@@ -262,21 +261,18 @@ fn osr_close(
                             (s_idx, p_idx)
                         };
                         let reversed = directives.contains(&(early, late));
-                        scratch.pulls.push((early, late, reversed));
-                        need_rel.push(if reversed { late } else { early });
-                    }
-                    ls.sections.push(s_idx);
-                    for p in need_rel {
-                        let rel = core.sections[p as usize].rel;
+                        pulls.push((early, late, reversed));
+                        let rel = core.sections[if reversed { late } else { early } as usize].rel;
                         if rel == NONE {
                             // A demanded release that never happened (open
                             // section): not schedulable either way.
                             ordered = true;
                         } else {
                             let rm = core.meta[rel as usize];
-                            ordered |= raise(scratch, ma, mb, rm.tid, rm.tpos + 1);
+                            ordered |= raise(frontier, dirty, rm.tid, rm.tpos + 1);
                         }
                     }
+                    ls.sections.push(s_idx);
                 }
                 _ => {}
             }
@@ -524,7 +520,8 @@ impl<'c> Replay<'c> {
 /// How [`osr_check`] committed a racing pair.
 enum Commit {
     /// Attempt `R = ∅` committed: SyncP's closure left the ideal in the
-    /// [`ClosureScratch`] frontier, and in trace order it is the witness.
+    /// pair's [`PairClosures`] frontier, and in trace order it is the
+    /// witness.
     SyncP,
     /// A reversal-carrying attempt committed and the DFS scheduler found
     /// this linearization of its ideal.
@@ -537,12 +534,12 @@ enum Commit {
 /// aborts does the journaling closure rerun to mine reversal directives.
 fn osr_check(
     core: &SyncPCore,
-    closure: &mut ClosureScratch,
+    closures: &mut PairClosures,
     scratch: &mut OsrScratch,
     a: u32,
     b: u32,
 ) -> Option<Commit> {
-    if core.check_pair(closure, a, b) {
+    if closures.check(core, a, b) {
         return Some(Commit::SyncP);
     }
     // Same least fixpoint, so the journaling closure aborts too; it is
@@ -606,7 +603,7 @@ pub struct Osr {
     core: SyncPCore,
     strong: StrongState,
     vars: Vec<VarState>,
-    closure: ClosureScratch,
+    closures: PairClosures,
     scratch: OsrScratch,
     report: Report,
     paths: PathCounters,
@@ -616,6 +613,13 @@ impl Osr {
     /// Creates the analysis with empty state.
     pub fn new() -> Self {
         Osr::default()
+    }
+
+    /// Closure runs, resumed runs and events walked so far by the `R = ∅`
+    /// attempts (the journaling closure of aborted pairs is not counted).
+    #[doc(hidden)]
+    pub fn closure_counters(&self) -> ClosureCounters {
+        self.closures.counters()
     }
 
     /// Strong-clock order test: is the access at `idx` ordered before the
@@ -685,7 +689,15 @@ impl Osr {
                 continue;
             }
             // The verdict path: no ideal is built for a SyncP commit.
-            if osr_check(&self.core, &mut self.closure, &mut self.scratch, c.idx, idx).is_some() {
+            if osr_check(
+                &self.core,
+                &mut self.closures,
+                &mut self.scratch,
+                c.idx,
+                idx,
+            )
+            .is_some()
+            {
                 prior.push(tid);
             }
         }
@@ -841,6 +853,7 @@ impl Detector for Osr {
                         + (vs.writes.capacity() + vs.reads.capacity()) * size_of::<Candidate>()
                 })
                 .sum::<usize>()
+            + self.closures.walk_bytes()
             + self.report.footprint_bytes()
     }
 
@@ -849,7 +862,12 @@ impl Detector for Osr {
         self.core.resident_bytes()
             + self.strong.resident_bytes()
             + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.closures.resident_bytes()
             + self.report.footprint_bytes()
+    }
+
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.closures.resident_bytes() + self.closures.walk_bytes()
     }
 
     fn hot_path_stats(&self) -> HotPathStats {
@@ -891,10 +909,10 @@ pub fn osr_pair_witness(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<E
         core.ingest(id.index() as u32, event);
     }
     let (a, b) = (a.index() as u32, b.index() as u32);
-    let mut closure = ClosureScratch::default();
-    let commit = osr_check(&core, &mut closure, &mut OsrScratch::default(), a, b)?;
+    let mut closures = PairClosures::default();
+    let commit = osr_check(&core, &mut closures, &mut OsrScratch::default(), a, b)?;
     let mut order = match commit {
-        Commit::SyncP => core.ideal(&closure.frontier),
+        Commit::SyncP => core.ideal(closures.frontier(&core, a, b)),
         Commit::Replayed(order) => order,
     };
     order.extend([a, b]);
@@ -1021,7 +1039,7 @@ mod tests {
             }
             .generate(seed);
             let mut core = SyncPCore::default();
-            let mut closure = ClosureScratch::default();
+            let mut closures = PairClosures::default();
             let mut scratch = OsrScratch::default();
             for (id, event) in tr.iter() {
                 let b = id.index() as u32;
@@ -1031,13 +1049,14 @@ mod tests {
                         continue;
                     }
                     let a = prev.index() as u32;
-                    let fast = core.check_pair(&mut closure, a, b);
+                    let fast = closures.check(&core, a, b);
                     let slow = osr_close(&core, &mut scratch, &[], a, b);
                     assert_eq!(fast, slow, "seed {seed}: verdicts differ on ({a}, {b})");
                     if fast {
                         commits += 1;
                         assert_eq!(
-                            closure.frontier, scratch.frontier,
+                            closures.frontier(&core, a, b),
+                            scratch.frontier,
                             "seed {seed}: committed ideals differ on ({a}, {b})"
                         );
                     } else {

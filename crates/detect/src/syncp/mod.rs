@@ -44,7 +44,7 @@
 //!    enter → previous-exits edge would out-order the rendezvous clocks
 //!    and break HB ⊆ SyncP on thread-disjoint consecutive rounds.
 //! 5. **Fork/join** — a forked thread's first event keeps its fork; a
-//!    `join` keeps the joined thread's entire projection.
+//!    `join` keeps the joined thread's entire projection (up to the join).
 //!
 //! # Algorithmic profile
 //!
@@ -62,10 +62,20 @@
 //! advances, because plain writes publish reads-from edges without
 //! changing the context).
 //!
-//! Buffering the stream means state is O(events), not O(threads × vars):
-//! fine for bounded inputs (`analyze`/`batch`), but a long-running
-//! `serve` session carrying a SyncP lane grows without limit — bound the
-//! session's lifetime, or run SyncP offline via the windowed pipeline.
+//! The closure itself is resumable, because it is monotone in its seed
+//! (the linear-time algorithm of arXiv 2010.16385 grows its ideals the
+//! same way). [`PairClosures`] keeps one closure per unordered thread pair
+//! and resumes it whenever both endpoints sit at or after the pair's last
+//! check, so a pair's checks together walk each event of its final ideal
+//! once instead of rebuilding a growing ideal for every check. A check
+//! whose endpoints moved backwards restarts its pair from empty. Debug
+//! builds recompute every resumed check from scratch and compare.
+//!
+//! Buffering the stream means state is O(events), not O(threads × vars),
+//! plus O(threads² × locks) for the pair closures: fine for bounded
+//! inputs (`analyze`/`batch`), but a long-running `serve` session carrying
+//! a SyncP lane grows without limit — bound the session's lifetime, or run
+//! SyncP offline via the windowed pipeline.
 //!
 //! # OSR seam
 //!
@@ -80,6 +90,8 @@
 
 pub(crate) mod strong;
 
+use std::collections::HashMap;
+
 use smarttrack_clock::ThreadId;
 use smarttrack_trace::{Event, EventId, Op, Trace, VarId};
 
@@ -93,8 +105,9 @@ use strong::StrongState;
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// Per-event metadata retained for closure checks. `aux` is op-specific:
-/// the observed last writer (reads), the prerequisite list index
-/// (wait/barrier ops), or the section index (lock ops).
+/// the observed last writer (reads), the prerequisite list index (waits),
+/// the round index (barrier ops), the section index (lock ops), or the
+/// joined thread's projection length at the join (joins).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventMeta {
     pub(crate) tid: u32,
@@ -180,44 +193,227 @@ pub(crate) struct BarrierState {
     pub(crate) rounds: Vec<(u32, u32)>,
 }
 
-/// Reusable scratch for one closure check; per-lock entries are generation
-/// stamped so resets are O(threads), not O(locks ever seen).
+/// [`ClosureScratch::locks`] flag: the lock's latest processed write-mode
+/// acquisition is kept apart in [`RareRules::write_max`]. Event indexes
+/// stay below it: the O(events) log would take ~50 GB first.
+const SPLIT: u32 = 1 << 31;
+/// [`RareRules::barriers`] round flags: some event of the round is in the
+/// ideal / an enter of the next round is.
+const TOUCHED: u8 = 1;
+const ENTER_NEXT: u8 = 2;
+
+/// The resumable state of one closure: the ideal built so far and the rule
+/// metadata needed to extend it. [`PairClosures`] keeps one per unordered
+/// thread pair and hands it back to [`SyncPCore::check_pair`], which
+/// resumes it whenever the new seed contains the old one; the witness
+/// builders run a default (empty) one, which is a fresh closure. The
+/// threads still to process are those with `processed < frontier`, so the
+/// worklist itself is shared scratch, not state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ClosureScratch {
     /// Per thread: number of events included in the ideal.
     pub(crate) frontier: Vec<u32>,
     /// Per thread: how many included events have been rule-processed.
     processed: Vec<u32>,
-    /// Threads with `processed < frontier`.
-    dirty: Vec<u32>,
-    gen: u32,
-    locks: Vec<LockScratch>,
-    barriers: Vec<BarrierScratch>,
-}
-
-#[derive(Clone, Debug, Default)]
-struct LockScratch {
-    gen: u32,
-    /// Latest included acquisition (event index + 1; 0 = none).
-    max_any: u32,
-    /// Latest included *write-mode* acquisition (event index + 1).
-    max_w: u32,
-    /// Included sections whose release is not yet scheduled.
+    /// Per lock: the latest processed acquisition (event index + 1; 0 =
+    /// none), or-ed with [`SPLIT`]. Until a lock's first read-mode
+    /// acquisition is processed, its latest write-mode acquisition is this
+    /// same value, so 4 bytes per (pair, lock) suffice.
+    locks: Vec<u32>,
+    /// Sections (of every lock) whose acquisition is processed but whose
+    /// release is neither processed nor demanded.
     pending: Vec<u32>,
+    /// Read-mode lock and barrier state, allocated once a pair meets one.
+    rare: Option<Box<RareRules>>,
+    /// The endpoints' thread positions at the last check, lower thread id
+    /// first; [`NONE`] when the state must not be resumed.
+    seed: [u32; 2],
 }
 
-/// Per-barrier closure scratch for the conditional cross-round rule: a
-/// round partially in the ideal must finish draining before a later
-/// round's enter (the trace model forbids gathering while a round
-/// drains), but wholly-absent rounds are droppable.
+/// The part of a [`ClosureScratch`] that only read-mode acquisitions and
+/// barrier ops use.
 #[derive(Clone, Debug, Default)]
-struct BarrierScratch {
-    /// Per round: stamped with the closure gen once any event of the
-    /// round is in the ideal.
-    touched: Vec<u32>,
-    /// Per round `r`: stamped with the closure gen once an enter of
-    /// round `r + 1` is in the ideal.
-    enter_next: Vec<u32>,
+struct RareRules {
+    /// `(lock, latest processed write-mode acquisition + 1)` for the locks
+    /// flagged [`SPLIT`], sorted by lock.
+    write_max: Vec<(u32, u32)>,
+    /// Per barrier, per round: [`TOUCHED`] | [`ENTER_NEXT`].
+    barriers: Vec<Vec<u8>>,
+}
+
+impl ClosureScratch {
+    fn reset(&mut self) {
+        self.frontier.clear();
+        self.processed.clear();
+        self.locks.clear();
+        self.pending.clear();
+        self.rare = None;
+        self.seed = [0; 2];
+    }
+
+    /// Events rule-processed so far.
+    fn walked(&self) -> u64 {
+        self.processed.iter().map(|&p| u64::from(p)).sum()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.frontier.capacity()
+            + self.processed.capacity()
+            + self.locks.capacity()
+            + self.pending.capacity())
+            * size_of::<u32>()
+            + self.rare.as_ref().map_or(0, |r| {
+                size_of::<RareRules>()
+                    + r.write_max.capacity() * size_of::<(u32, u32)>()
+                    + r.barriers.capacity() * size_of::<Vec<u8>>()
+                    + r.barriers.iter().map(Vec::capacity).sum::<usize>()
+            })
+    }
+}
+
+/// Closure counters of a SyncP or OSR lane: the sync-preserving closures
+/// run, how many of them resumed an earlier closure of the same thread
+/// pair, and the events they rule-processed.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ClosureCounters {
+    pub runs: u64,
+    pub resumed: u64,
+    pub walked: u64,
+}
+
+/// One resumable closure per unordered thread pair `{tₐ, t_b}`.
+///
+/// The closure is monotone in its seed: when both endpoints of a new check
+/// sit at or after the thread positions of the pair's last check, the seed
+/// `pre(a) ∪ pre(b)` only grew, so the least fixpoint only grew and the old
+/// state — a subset of the old fixpoint — is a valid start for the new
+/// one. Otherwise the pair's state restarts empty.
+///
+/// That argument also needs every rule that fired to fire the same way on
+/// the metadata the stream appends later. Three pieces of metadata change
+/// after ingest:
+///
+/// - `Section::rel` is filled in when the section is released. A pending
+///   section is stored by index and its release read when it is demanded,
+///   so a release that arrives later is seen. A demand for a release that
+///   does not exist yet (an open section, impossible on validated streams)
+///   marks the state not resumable.
+/// - A barrier round seals at its first exit, and its exit pool fills as it
+///   drains. An enter of a round still gathering marks the round touched
+///   all the same, so the cross-round rule fires once the next round's
+///   enter arrives. Round `r`'s exit pool is pulled only when an enter of
+///   round `r + 1` is in the ideal, and once that enter exists the pool is
+///   frozen: further exits seal a new round.
+/// - A thread's projection grows, so `join` records the joined thread's
+///   length at the join (`EventMeta::aux`) instead of reading it at closure
+///   time, and a fork is recorded only before the forked thread's first
+///   event.
+///
+/// Debug builds recompute every resumed check from an empty state and
+/// compare the verdict, and on a race the frontier.
+#[derive(Debug, Default)]
+pub(crate) struct PairClosures {
+    pairs: HashMap<u64, ClosureScratch>,
+    /// The closure worklist, shared by every pair.
+    work: Vec<u32>,
+    /// The pair states' heap bytes, kept current by [`PairClosures::check`].
+    heap: usize,
+    counters: ClosureCounters,
+    /// Start every check from an empty state: the reference that tests
+    /// compare resumed closures against.
+    fresh_only: bool,
+}
+
+/// Cloning may shrink capacities, so the heap counter is recomputed.
+impl Clone for PairClosures {
+    fn clone(&self) -> Self {
+        let pairs = self.pairs.clone();
+        let heap = pairs.values().map(ClosureScratch::heap_bytes).sum();
+        PairClosures {
+            pairs,
+            work: self.work.clone(),
+            heap,
+            counters: self.counters,
+            fresh_only: self.fresh_only,
+        }
+    }
+}
+
+impl PairClosures {
+    fn key(core: &SyncPCore, a: u32, b: u32) -> (u64, [EventMeta; 2]) {
+        let (ma, mb) = (core.meta[a as usize], core.meta[b as usize]);
+        let (lo, hi) = if ma.tid < mb.tid { (ma, mb) } else { (mb, ma) };
+        ((u64::from(hi.tid) << 32) | u64::from(lo.tid), [lo, hi])
+    }
+
+    /// [`SyncPCore::check_pair`] for the conflicting pair at event indexes
+    /// `a < b`, on the pair's resumable state.
+    pub(crate) fn check(&mut self, core: &SyncPCore, a: u32, b: u32) -> bool {
+        let (key, [lo, hi]) = Self::key(core, a, b);
+        let st = self.pairs.entry(key).or_default();
+        let before = st.heap_bytes();
+        let resume = !self.fresh_only
+            && st.seed[0] != NONE
+            && lo.tpos >= st.seed[0]
+            && hi.tpos >= st.seed[1];
+        if !resume {
+            st.reset();
+        }
+        let resumed = !st.frontier.is_empty();
+        let walked = st.walked();
+        st.seed = [lo.tpos, hi.tpos];
+        let race = core.check_pair(st, &mut self.work, a, b);
+        self.counters.runs += 1;
+        self.counters.resumed += u64::from(resumed);
+        self.counters.walked += st.walked() - walked;
+        self.heap = self.heap + st.heap_bytes() - before;
+        if cfg!(debug_assertions) && resumed {
+            let mut fresh = ClosureScratch::default();
+            let want = core.check_pair(&mut fresh, &mut Vec::new(), a, b);
+            debug_assert_eq!(race, want, "resumed verdict differs on ({a}, {b})");
+            if race {
+                debug_assert_eq!(
+                    st.frontier, fresh.frontier,
+                    "resumed ideal differs on ({a}, {b})"
+                );
+            }
+        }
+        race
+    }
+
+    /// The ideal the last [`check`](PairClosures::check) of this pair left
+    /// (per thread: the number of included events).
+    pub(crate) fn frontier(&self, core: &SyncPCore, a: u32, b: u32) -> &[u32] {
+        &self.pairs[&Self::key(core, a, b).0].frontier
+    }
+
+    pub(crate) fn counters(&self) -> ClosureCounters {
+        self.counters
+    }
+
+    fn table_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pairs.capacity() * (size_of::<(u64, ClosureScratch)>() + 1)
+            + self.work.capacity() * size_of::<u32>()
+    }
+
+    /// O(1): the table plus the running heap counter.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.heap, self.walk_heap_bytes());
+        self.table_bytes() + self.heap
+    }
+
+    /// [`resident_bytes`](PairClosures::resident_bytes) by a walk over
+    /// every pair state.
+    pub(crate) fn walk_bytes(&self) -> usize {
+        self.table_bytes() + self.walk_heap_bytes()
+    }
+
+    fn walk_heap_bytes(&self) -> usize {
+        self.pairs.values().map(ClosureScratch::heap_bytes).sum()
+    }
 }
 
 /// The buffered trace metadata plus the closure engine. Split from
@@ -236,6 +432,8 @@ pub(crate) struct SyncPCore {
     /// Latest plain / volatile write per variable (event indexes).
     pub(crate) var_lw: Vec<u32>,
     pub(crate) vol_lw: Vec<u32>,
+    /// One past the largest lock id acquired so far.
+    pub(crate) lock_count: u32,
 }
 
 /// Grows-and-indexes for the last-writer tables, whose empty slots must be
@@ -245,6 +443,16 @@ pub(crate) fn lw_slot(v: &mut Vec<u32>, i: usize) -> &mut u32 {
         v.resize(i + 1, NONE);
     }
     &mut v[i]
+}
+
+/// Closure rule edge: the first `upto` events of thread `t` join the ideal.
+#[inline]
+fn raise(frontier: &mut [u32], work: &mut Vec<u32>, t: u32, upto: u32) {
+    let f = &mut frontier[t as usize];
+    if upto > *f {
+        *f = upto;
+        work.push(t);
+    }
 }
 
 impl SyncPCore {
@@ -275,6 +483,7 @@ impl SyncPCore {
             }
             Op::Acquire(m) | Op::AcqWrite(m) | Op::AcqRead(m) => {
                 let write = !matches!(event.op, Op::AcqRead(_));
+                self.lock_count = self.lock_count.max(m.raw() + 1);
                 let sidx = self.sections.len() as u32;
                 self.sections.push(Section {
                     lock: m.raw(),
@@ -299,11 +508,18 @@ impl SyncPCore {
                 }
             }
             Op::TryAcqFail(_) => NONE,
+            // A fork counts only before the forked thread's first event,
+            // and a join keeps the joined thread's projection as long as it
+            // is at the join: neither rule changes once a closure has used
+            // it (both are the validated-stream behaviour).
             Op::Fork(u) => {
-                self.thread(u.index()).fork = idx;
+                let child = self.thread(u.index());
+                if child.proj.is_empty() {
+                    child.fork = idx;
+                }
                 NONE
             }
-            Op::Join(_) => NONE,
+            Op::Join(u) => self.thread(u.index()).proj.len() as u32,
             Op::Wait(c, _) => {
                 let latest = self
                     .cond_notifies
@@ -377,45 +593,53 @@ impl SyncPCore {
     }
 
     /// Runs the sync-preserving closure for the conflicting pair at event
-    /// indexes `a < b`. Returns `true` when the pair is a sync-preserving
-    /// race: the closure of both proper prefixes contains neither endpoint.
+    /// indexes `a < b`, extending whatever ideal `scratch` already holds —
+    /// an empty one is a fresh closure, and [`PairClosures`] decides when
+    /// an earlier one may be resumed. Returns `true` when the pair is a
+    /// sync-preserving race: the closure of both proper prefixes contains
+    /// neither endpoint.
     ///
-    /// Linear in the ideal: rule 3 keeps only the latest included
-    /// acquisitions and the still-unreleased sections per lock. OSR runs
-    /// its reversal-free attempt through this check and falls back to its
+    /// Linear in the events it processes: rule 3 keeps only the latest
+    /// processed acquisition per lock and the still-unreleased sections.
+    /// Every rule applies its edges in full, and an early "ordered" exit
+    /// leaves its unprocessed events counted in `processed < frontier`, so
+    /// the state stays a subset of the least fixpoint that a later, larger
+    /// seed can resume. `work` is the worklist scratch. OSR runs its
+    /// reversal-free attempt through this check and falls back to its
     /// pairwise journaling closure only when this one aborts.
-    pub(crate) fn check_pair(&self, scratch: &mut ClosureScratch, a: u32, b: u32) -> bool {
+    pub(crate) fn check_pair(
+        &self,
+        scratch: &mut ClosureScratch,
+        work: &mut Vec<u32>,
+        a: u32,
+        b: u32,
+    ) -> bool {
         let (ma, mb) = (self.meta[a as usize], self.meta[b as usize]);
         debug_assert_ne!(ma.tid, mb.tid);
-        scratch.gen = scratch.gen.wrapping_add(1);
         let nthreads = self.threads.len();
-        scratch.frontier.clear();
-        scratch.frontier.resize(nthreads, 0);
-        scratch.processed.clear();
-        scratch.processed.resize(nthreads, 0);
-        scratch.dirty.clear();
-
-        // `raise` returns `true` as soon as a rule forces either endpoint
-        // into the ideal — the pair is then synchronization-ordered, not a
-        // race.
-        fn raise(
-            scratch: &mut ClosureScratch,
-            ma: EventMeta,
-            mb: EventMeta,
-            t: u32,
-            upto: u32,
-        ) -> bool {
-            if upto > scratch.frontier[t as usize] {
-                if (t == ma.tid && upto > ma.tpos) || (t == mb.tid && upto > mb.tpos) {
-                    return true;
-                }
-                scratch.frontier[t as usize] = upto;
-                scratch.dirty.push(t);
+        let nlocks = self.lock_count as usize;
+        let ClosureScratch {
+            frontier,
+            processed,
+            locks,
+            pending,
+            rare,
+            seed,
+        } = scratch;
+        if frontier.len() < nthreads {
+            for v in [&mut *frontier, &mut *processed] {
+                v.reserve_exact(nthreads - v.len());
+                v.resize(nthreads, 0);
             }
-            false
         }
-        let mut ordered =
-            raise(scratch, ma, mb, ma.tid, ma.tpos) || raise(scratch, ma, mb, mb.tid, mb.tpos);
+        work.clear();
+        work.extend((0..nthreads as u32).filter(|&t| processed[t as usize] < frontier[t as usize]));
+        // The pair is synchronization-ordered, not a race, once a rule
+        // forces either endpoint into the ideal.
+        let forced = |f: &[u32]| f[ma.tid as usize] > ma.tpos || f[mb.tid as usize] > mb.tpos;
+
+        raise(frontier, work, ma.tid, ma.tpos);
+        raise(frontier, work, mb.tid, mb.tpos);
         // A racing event that is its thread's first must still be
         // enabled: its fork joins the ideal.
         for m in [ma, mb] {
@@ -423,39 +647,38 @@ impl SyncPCore {
                 let f = self.threads[m.tid as usize].fork;
                 if f != NONE {
                     let fm = self.meta[f as usize];
-                    ordered |= raise(scratch, ma, mb, fm.tid, fm.tpos + 1);
+                    raise(frontier, work, fm.tid, fm.tpos + 1);
                 }
             }
         }
-        if ordered {
+        if forced(frontier) {
             return false;
         }
 
-        'outer: while let Some(t) = scratch.dirty.pop() {
-            while scratch.processed[t as usize] < scratch.frontier[t as usize] {
-                if ordered {
-                    break 'outer;
-                }
-                let pos = scratch.processed[t as usize];
-                scratch.processed[t as usize] = pos + 1;
-                let idx = self.threads[t as usize].proj[pos as usize];
-                let m = self.meta[idx as usize];
+        // Set when rule 3 demands the release of a still-open section.
+        let mut open_demand = false;
+        while let Some(t) = work.pop() {
+            let proj = &self.threads[t as usize].proj;
+            let mut pos = processed[t as usize];
+            while pos < frontier[t as usize] {
+                let m = self.meta[proj[pos as usize] as usize];
+                pos += 1;
                 if m.tpos == 0 {
                     let f = self.threads[t as usize].fork;
                     if f != NONE {
                         let fm = self.meta[f as usize];
-                        ordered |= raise(scratch, ma, mb, fm.tid, fm.tpos + 1);
+                        raise(frontier, work, fm.tid, fm.tpos + 1);
                     }
                 }
                 match m.op {
                     Op::Read(_) | Op::VolatileRead(_) if m.aux != NONE => {
                         let lw = self.meta[m.aux as usize];
-                        ordered |= raise(scratch, ma, mb, lw.tid, lw.tpos + 1);
+                        raise(frontier, work, lw.tid, lw.tpos + 1);
                     }
                     Op::Wait(..) if m.aux != NONE => {
                         for &p in &self.prereqs[m.aux as usize] {
                             let pm = self.meta[p as usize];
-                            ordered |= raise(scratch, ma, mb, pm.tid, pm.tpos + 1);
+                            raise(frontier, work, pm.tid, pm.tpos + 1);
                         }
                     }
                     // Rule 4's barrier half. `m.aux` is the event's round
@@ -464,109 +687,121 @@ impl SyncPCore {
                     // once both some event of round r and an enter of
                     // round r + 1 are included (whichever lands second
                     // fires the pull).
-                    Op::BarrierEnter(b) | Op::BarrierExit(b) => {
-                        let rounds = &self.barriers[b.index()].rounds;
+                    Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
+                        let rounds = &self.barriers[bar.index()].rounds;
                         let r = m.aux as usize;
-                        let gen = scratch.gen;
-                        let bsc = slot(&mut scratch.barriers, b.index());
-                        if bsc.touched.len() < rounds.len() {
-                            bsc.touched.resize(rounds.len(), 0);
-                            bsc.enter_next.resize(rounds.len(), 0);
-                        }
-                        // Collect the prereq pools to pull, then raise
-                        // (split borrows, as in the lock rule).
-                        let mut pull: Vec<u32> = Vec::new();
-                        if matches!(m.op, Op::BarrierExit(_)) {
-                            pull.push(rounds[r].0);
-                        }
-                        // An enter of a still-gathering round has
-                        // `r == rounds.len()`: nothing to mark or pull
-                        // for its own round yet.
-                        if r < rounds.len() {
-                            bsc.touched[r] = gen;
-                            if bsc.enter_next[r] == gen {
-                                pull.push(rounds[r].1);
-                            }
-                        }
-                        if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
-                            bsc.enter_next[r - 1] = gen;
-                            if bsc.touched[r - 1] == gen {
-                                pull.push(rounds[r - 1].1);
-                            }
-                        }
-                        for pool in pull {
+                        let mut pull = |pool: u32| {
                             for &p in &self.prereqs[pool as usize] {
                                 let pm = self.meta[p as usize];
-                                ordered |= raise(scratch, ma, mb, pm.tid, pm.tpos + 1);
+                                raise(frontier, work, pm.tid, pm.tpos + 1);
+                            }
+                        };
+                        // An enter of a still-gathering round has
+                        // `r == rounds.len()`; it is marked touched all
+                        // the same (see `PairClosures`).
+                        let flags = slot(
+                            &mut rare.get_or_insert_with(Box::default).barriers,
+                            bar.index(),
+                        );
+                        if flags.len() <= r {
+                            flags.resize(rounds.len() + 1, 0);
+                        }
+                        if matches!(m.op, Op::BarrierExit(_)) {
+                            pull(rounds[r].0);
+                        }
+                        flags[r] |= TOUCHED;
+                        if flags[r] & ENTER_NEXT != 0 {
+                            pull(rounds[r].1);
+                        }
+                        if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
+                            flags[r - 1] |= ENTER_NEXT;
+                            if flags[r - 1] & TOUCHED != 0 {
+                                pull(rounds[r - 1].1);
                             }
                         }
                     }
-                    Op::Join(u) => {
-                        let len = self.threads[u.index()].proj.len() as u32;
-                        ordered |= raise(scratch, ma, mb, u.index() as u32, len);
-                    }
-                    Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) => {
-                        if m.aux == NONE {
-                            continue;
-                        }
+                    Op::Join(u) => raise(frontier, work, u.raw(), m.aux),
+                    Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) if m.aux != NONE => {
                         let s = self.sections[m.aux as usize];
-                        let ls = slot(&mut scratch.locks, s.lock as usize);
-                        if ls.gen != scratch.gen {
-                            ls.gen = scratch.gen;
-                            ls.max_any = 0;
-                            ls.max_w = 0;
-                            ls.pending.clear();
-                        }
-                        // Gather pairwise rule-3 triggers first, then
-                        // raise (split borrows: `pending` lives in
-                        // `scratch.locks`, raise mutates frontiers).
-                        let mut need_rel: Vec<u32> = Vec::new();
-                        let later = if s.write { ls.max_any } else { ls.max_w };
-                        if later > s.acq {
-                            need_rel.push(m.aux);
-                        } else {
-                            ls.pending.push(m.aux);
-                        }
-                        let sections = &self.sections;
-                        ls.pending.retain(|&p| {
-                            let ps = sections[p as usize];
-                            if p != m.aux && ps.acq < s.acq && (ps.write || s.write) {
-                                need_rel.push(p);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        ls.max_any = ls.max_any.max(s.acq + 1);
-                        if s.write {
-                            ls.max_w = ls.max_w.max(s.acq + 1);
-                        }
-                        for p in need_rel {
-                            let rel = self.sections[p as usize].rel;
-                            if rel == NONE {
+                        let mut demand = |p: Section| {
+                            if p.rel == NONE {
                                 // A demanded release that never happened
                                 // (open section): the pair is not
                                 // reorderable — treat as ordered.
                                 // Unreachable on well-formed traces.
-                                ordered = true;
+                                open_demand = true;
                             } else {
-                                let rm = self.meta[rel as usize];
-                                ordered |= raise(scratch, ma, mb, rm.tid, rm.tpos + 1);
+                                let rm = self.meta[p.rel as usize];
+                                raise(frontier, work, rm.tid, rm.tpos + 1);
                             }
+                        };
+                        if locks.len() <= s.lock as usize {
+                            locks.reserve_exact(nlocks - locks.len());
+                            locks.resize(nlocks, 0);
                         }
+                        let entry = locks[s.lock as usize];
+                        let max_any = entry & !SPLIT;
+                        let split = (entry & SPLIT != 0).then(|| {
+                            let w = &mut rare
+                                .as_mut()
+                                .expect("a SPLIT lock has rare state")
+                                .write_max;
+                            let i = w
+                                .binary_search_by_key(&s.lock, |&(l, _)| l)
+                                .expect("a SPLIT lock has a write maximum");
+                            &mut w[i].1
+                        });
+                        let max_w = split.as_deref().copied().unwrap_or(max_any);
+                        // Rule 3 against the processed acquisitions: a
+                        // later conflicting one demands this release, and
+                        // this one demands the release of every earlier
+                        // conflicting pending section.
+                        pending.retain(|&p| {
+                            let ps = self.sections[p as usize];
+                            let hit = ps.lock == s.lock && ps.acq < s.acq && (ps.write || s.write);
+                            if hit {
+                                demand(ps);
+                            }
+                            !hit
+                        });
+                        if (if s.write { max_any } else { max_w }) > s.acq {
+                            demand(s);
+                        } else {
+                            pending.push(m.aux);
+                        }
+                        let mut flag = entry & SPLIT;
+                        match (s.write, split) {
+                            (true, Some(w)) => *w = max_w.max(s.acq + 1),
+                            (false, None) => {
+                                let w = &mut rare.get_or_insert_with(Box::default).write_max;
+                                let i = w.partition_point(|&(l, _)| l < s.lock);
+                                w.insert(i, (s.lock, max_w));
+                                flag = SPLIT;
+                            }
+                            _ => {}
+                        }
+                        locks[s.lock as usize] = max_any.max(s.acq + 1) | flag;
                     }
                     Op::Release(_) if m.aux != NONE => {
-                        let s = self.sections[m.aux as usize];
-                        let ls = slot(&mut scratch.locks, s.lock as usize);
-                        if ls.gen == scratch.gen {
-                            ls.pending.retain(|&p| p != m.aux);
+                        if let Some(i) = pending.iter().position(|&p| p == m.aux) {
+                            pending.swap_remove(i);
                         }
                     }
                     _ => {}
                 }
+                if open_demand || forced(frontier) {
+                    // Stop early: a later resume finds the unprocessed
+                    // events by `processed < frontier`.
+                    processed[t as usize] = pos;
+                    if open_demand {
+                        *seed = [NONE; 2];
+                    }
+                    return false;
+                }
             }
+            processed[t as usize] = pos;
         }
-        !ordered
+        true
     }
 
     /// The ideal a successful closure left in `frontier` (per thread: the
@@ -645,7 +880,7 @@ pub struct SyncP {
     core: SyncPCore,
     strong: StrongState,
     vars: Vec<VarState>,
-    scratch: ClosureScratch,
+    closures: PairClosures,
     report: Report,
     paths: PathCounters,
 }
@@ -654,6 +889,22 @@ impl SyncP {
     /// Creates the analysis with empty state.
     pub fn new() -> Self {
         SyncP::default()
+    }
+
+    /// A SyncP that starts every closure from an empty ideal instead of
+    /// resuming the thread pair's last one (a test baseline for
+    /// [`closure_counters`](SyncP::closure_counters)).
+    #[doc(hidden)]
+    pub fn with_fresh_closures() -> Self {
+        let mut det = SyncP::default();
+        det.closures.fresh_only = true;
+        det
+    }
+
+    /// Closure runs, resumed runs and events walked so far.
+    #[doc(hidden)]
+    pub fn closure_counters(&self) -> ClosureCounters {
+        self.closures.counters()
     }
 
     /// Strong-clock order test: is the access at `idx` ordered before the
@@ -725,7 +976,7 @@ impl SyncP {
             if self.strong_ordered(t, c.idx) || Self::common_lock(cur_holds, &c.holds) {
                 continue;
             }
-            if self.core.check_pair(&mut self.scratch, c.idx, idx) {
+            if self.closures.check(&self.core, c.idx, idx) {
                 prior.push(tid);
             }
         }
@@ -887,17 +1138,24 @@ impl Detector for SyncP {
                         + (vs.writes.capacity() + vs.reads.capacity()) * size_of::<Candidate>()
                 })
                 .sum::<usize>()
+            + self.closures.walk_bytes()
             + self.report.footprint_bytes()
     }
 
     fn state_bytes(&self) -> usize {
         // The buffered event log dominates — SyncP's state grows with the
         // trace, unlike the vector-clock rows. The cheap estimate skips
-        // per-variable candidate walks.
+        // per-variable candidate walks and reads the pair closures' running
+        // byte counter.
         self.core.resident_bytes()
             + self.strong.resident_bytes()
             + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.closures.resident_bytes()
             + self.report.footprint_bytes()
+    }
+
+    fn state_bytes_walk(&self) -> usize {
+        self.state_bytes() - self.closures.resident_bytes() + self.closures.walk_bytes()
     }
 
     fn hot_path_stats(&self) -> HotPathStats {
@@ -938,7 +1196,12 @@ pub fn syncp_pair_ideal(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<E
         core.ingest(id.index() as u32, event);
     }
     let mut scratch = ClosureScratch::default();
-    if !core.check_pair(&mut scratch, a.index() as u32, b.index() as u32) {
+    if !core.check_pair(
+        &mut scratch,
+        &mut Vec::new(),
+        a.index() as u32,
+        b.index() as u32,
+    ) {
         return None;
     }
     let mut order: Vec<EventId> = core

@@ -148,6 +148,7 @@ fn docs_exist_and_cover_every_format() {
         "LockOrderReversed",
         "osr_differential",
         "R = ∅ runs SyncP's linear `check_pair`",
+        "resumes one closure per thread pair",
         "rule (b) queues keep a running byte counter",
     ] {
         assert!(text.contains(needle), "ARCHITECTURE.md lost `{needle}`");

@@ -300,7 +300,9 @@ fn snapshots_are_prefix_exact() {
 
 /// The per-event sampled estimate never exceeds the exact walk (the
 /// estimate is table capacities only; the exact walk adds per-clock heap
-/// spill and Rc-shared CCS structures on top of the same capacities).
+/// spill and Rc-shared CCS structures on top of the same capacities). The
+/// extension rows are covered too: SyncP's and OSR's estimate counts their
+/// pair closures by a running byte counter.
 #[test]
 fn state_estimate_never_exceeds_exact_walk() {
     for (label, trace) in [
@@ -313,7 +315,7 @@ fn state_estimate_never_exceeds_exact_walk() {
             smarttrack_workloads::profiles::avrora().trace(2e-6, 4),
         ),
     ] {
-        for config in AnalysisConfig::table1() {
+        for config in AnalysisConfig::extended() {
             let mut det = config.detector().unwrap();
             run_detector(det.as_mut(), &trace);
             assert!(

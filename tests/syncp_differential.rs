@@ -491,3 +491,131 @@ fn syncp_config_round_trips() {
         "no graph variant"
     );
 }
+
+/// `copies` back-to-back copies of a racy two-thread pattern: each copy
+/// writes a fresh variable on both threads, around one section each on a
+/// shared lock, so every copy runs one closure check on the same thread
+/// pair.
+fn back_to_back(copies: u32) -> Trace {
+    use smarttrack_trace::{LockId, Op, ThreadId, TraceBuilder, VarId};
+    let (t0, t1, m) = (ThreadId::new(0), ThreadId::new(1), LockId::new(0));
+    let mut b = TraceBuilder::new();
+    for i in 0..copies {
+        let x = VarId::new(i);
+        for (t, op) in [
+            (t0, Op::Write(x)),
+            (t0, Op::Acquire(m)),
+            (t0, Op::Release(m)),
+            (t1, Op::Acquire(m)),
+            (t1, Op::Release(m)),
+            (t1, Op::Write(x)),
+        ] {
+            b.push(t, op).expect("well-formed");
+        }
+    }
+    b.finish()
+}
+
+/// Each check resumes the thread pair's closure, so closure work grows
+/// linearly with the trace: a closure rebuilt for every check walks
+/// O(copies²) events here.
+#[test]
+fn resumed_closure_work_is_linear_in_back_to_back_copies() {
+    use smarttrack::detect::{Detector, Osr, SyncP};
+    for copies in [50u32, 100, 200] {
+        let trace = back_to_back(copies);
+        let n = u64::from(copies);
+        let mut syncp = SyncP::new();
+        run_detector(&mut syncp, &trace);
+        let mut osr = Osr::new();
+        run_detector(&mut osr, &trace);
+        let mut fresh = SyncP::with_fresh_closures();
+        run_detector(&mut fresh, &trace);
+        for (label, report, c) in [
+            ("SyncP", syncp.report(), syncp.closure_counters()),
+            ("OSR", osr.report(), osr.closure_counters()),
+        ] {
+            assert_eq!(
+                report.dynamic_count(),
+                copies as usize,
+                "{label}: every copy races"
+            );
+            assert_eq!((c.runs, c.resumed), (n, n - 1), "{label}: {c:?}");
+            assert!(c.walked <= 8 * n, "{label}: {copies} copies walked {c:?}");
+        }
+        assert_eq!(fresh.report(), syncp.report());
+        let walked = fresh.closure_counters().walked;
+        assert!(
+            walked > n * n,
+            "fresh closures walk quadratically: {walked}"
+        );
+    }
+}
+
+/// Resumed and fresh closures agree on random traces mixing locks,
+/// rwlocks, condvars, barriers and fork/join — in release builds too,
+/// where the per-check debug comparison is compiled out.
+#[test]
+fn resumed_and_fresh_closures_report_alike_on_random_traces() {
+    use smarttrack::detect::{Detector, SyncP};
+    let mut resumed_runs = 0;
+    for seed in 0..400u64 {
+        let n = seed as u32;
+        let trace = RandomTraceSpec {
+            threads: 2 + n % 4,
+            events: 80 + (seed as usize % 5) * 60,
+            vars: 2 + n % 5,
+            locks: 1 + n % 3,
+            condvars: n % 2,
+            condvar_prob: 0.06 * f64::from(n % 2),
+            barriers: (n / 2) % 2,
+            barrier_prob: 0.03 * f64::from((n / 2) % 2),
+            rwlocks: (n / 4) % 2,
+            rw_read_prob: 0.1,
+            rw_write_prob: 0.04,
+            rw_release_prob: 0.2,
+            try_fail_prob: 0.02,
+            acquire_prob: 0.15,
+            release_prob: 0.2,
+            fork_join: (n / 8) % 2 == 1,
+            ..RandomTraceSpec::default()
+        }
+        .generate(seed);
+        let mut resumed = SyncP::new();
+        run_detector(&mut resumed, &trace);
+        let mut fresh = SyncP::with_fresh_closures();
+        run_detector(&mut fresh, &trace);
+        assert_eq!(resumed.report(), fresh.report(), "seed {seed}");
+        resumed_runs += resumed.closure_counters().resumed;
+    }
+    assert!(resumed_runs > 0, "the sweep must resume closures");
+}
+
+/// On the four `syncp-osr` benchmark traces of seed 1 (xalan at 1e-5,
+/// trace seeds 1000–1003), resuming pair closures at least halves the
+/// events walked, and every report is the fresh-closure one.
+#[test]
+fn resumed_closures_halve_the_walk_on_the_syncp_osr_traces() {
+    use smarttrack::detect::{Detector, SyncP};
+    let (mut resumed_walk, mut fresh_walk) = (0, 0);
+    for seed in 1000..1004u64 {
+        let trace = smarttrack_workloads::profiles::xalan().trace(1e-5, seed);
+        let mut resumed = SyncP::new();
+        run_detector(&mut resumed, &trace);
+        let mut fresh = SyncP::with_fresh_closures();
+        run_detector(&mut fresh, &trace);
+        assert_eq!(resumed.report(), fresh.report(), "seed {seed}");
+        let (r, f) = (resumed.closure_counters(), fresh.closure_counters());
+        assert_eq!(r.runs, f.runs, "seed {seed}");
+        assert!(
+            r.resumed > 0 && f.resumed == 0,
+            "seed {seed}: {r:?} vs {f:?}"
+        );
+        resumed_walk += r.walked;
+        fresh_walk += f.walked;
+    }
+    assert!(
+        2 * resumed_walk <= fresh_walk,
+        "resumed closures walked {resumed_walk} events, fresh ones {fresh_walk}"
+    );
+}
