@@ -98,15 +98,15 @@ pub use engine::{
 pub use graph::{ConstraintGraph, EdgeKind};
 pub use hb::{Ft2, FtoHb, RoadRunnerFt2, UnoptHb};
 pub use lockset::EraserLockset;
+pub use osr::osr_pair_witness;
 pub use pool::{
     worker_count, BatchJob, CorpusAnalysisTotal, CorpusRace, CorpusReport, EnginePool, JobError,
     JobOutcome, JobSuccess, PoolStats,
 };
-pub use osr::{osr_pair_witness, Osr};
 pub use report::{AccessKind, RaceReport, Report};
 #[doc(hidden)]
 pub use syncp::ClosureCounters;
-pub use syncp::{syncp_pair_ideal, SyncP};
+pub use syncp::{syncp_pair_ideal, Osr, SyncP, SyncPreserving};
 pub use wcp::{FtoWcp, SmartTrackWcp, UnoptWcp};
 
 /// Constructs a boxed detector for a (relation, optimization level) pair.
@@ -142,7 +142,7 @@ pub fn make_detector(
         // and ignores the Table 1 opt columns. Same for its optimistic
         // synchronization-reversal refinement, (Osr, Unopt).
         (SyncP, Unopt, false) => Some(Box::new(syncp::SyncP::new())),
-        (Osr, Unopt, false) => Some(Box::new(osr::Osr::new())),
+        (Osr, Unopt, false) => Some(Box::new(syncp::Osr::new())),
         _ => None,
     }
 }

@@ -23,57 +23,45 @@
 //! 1. **Commit.** If the closure stabilizes without forcing either
 //!    endpoint and `R = ∅`, the run was exactly the SyncP closure and the
 //!    ideal in trace order is a witness (hence SyncP ⊆ OSR, structurally).
-//!    With `R ≠ ∅` the ideal has no trace-order schedule, so a bounded
-//!    DFS replay scheduler searches for a concrete linearization obeying
-//!    program order, mutual exclusion, exact reads-from, wait/notify
-//!    prerequisites, and the barrier gather/drain protocol; the pair is
-//!    reported only if one is found.
+//!    With `R ≠ ∅` the ideal has no trace-order schedule, so a bounded,
+//!    iterative DFS replay scheduler searches for a concrete linearization
+//!    obeying program order, mutual exclusion, exact reads-from,
+//!    wait/notify prerequisites, and the barrier gather/drain protocol; the
+//!    pair is reported only if one is found.
 //! 2. **Abort.** If a rule-3 release pull forced an endpoint, the culprit
 //!    section pair is *reversed* (added to `R`) and the closure restarts —
 //!    at most [`MAX_ATTEMPTS`] times. An abort with no lock culprit (the
 //!    endpoint was forced by reads-from, program order, fork/join, or a
 //!    barrier round) is final: no reversal can help, the pair is ordered.
 //!
+//! A pair dropped because the attempts or the DFS budget ran out is a
+//! *give-up*, counted in the lane's `ClosureCounters`.
+//!
 //! # The fast path
 //!
-//! Attempt `R = ∅` does not run the journaling closure at all: it runs
-//! SyncP's own [`SyncPCore::check_pair`], whose rule 3 keeps only the
-//! latest included acquisitions and the unreleased sections per lock, so
-//! it is linear in the ideal — and it resumes the thread pair's closure
-//! from the last check ([`PairClosures`]), so it walks only what the ideal
-//! gained since. The journaling closure applies rule 3
-//! pairwise over every included section — O(S²) per lock — because the
-//! abort handler needs each pull's pair identity. Both compute the same
-//! least fixpoint, so they agree on the verdict and, on commit, on the
-//! ideal. A pair that commits at `R = ∅` — every SyncP race — therefore
-//! costs what it costs SyncP, and the detector builds no ideal for it;
-//! only [`osr_pair_witness`] reads the ideal back. Only an aborted pair
-//! reruns `R = ∅` through the journaling closure to mine its pulls, before
-//! the directive search proceeds as above.
-//!
-//! The strong-clock and common-lock prefilters and the epoch cache carry
-//! over from SyncP unchanged, because both remain sound under reversals:
-//! the strong clock tracks only edges no correct reordering of any kind
-//! can break (it has no lock edges), and mutual exclusion holds whatever
-//! order two same-lock sections run in.
-//!
-//! Like SyncP, OSR buffers the stream — state is O(events) — so bound the
-//! lifetime of `serve` sessions carrying an `osr` lane, or run it offline.
+//! [`Osr`](crate::Osr) is [`SyncP`](crate::SyncP)'s detector with this
+//! module's pair check, [`osr_check`]. Attempt `R = ∅` runs SyncP's own
+//! resumable [`SyncPCore::check_pair`], so a pair that commits there —
+//! every SyncP race — costs what it costs SyncP, and no ideal is built for
+//! it; only [`osr_pair_witness`] reads the ideal back. Only an aborted pair
+//! runs the journaling closure, [`osr_close`], which reruns `R = ∅` to mine
+//! its pulls before the directive search. It shares SyncP's seed and edge
+//! table for rules 1, 2, 4 and 5 ([`SyncPCore::edges`]) and keeps only its
+//! own rule 3, applied pairwise over every included section — O(S²) per
+//! lock — because the abort handler needs each pull's pair identity. Both
+//! rule-3 encodings compute the same least fixpoint, so the two closures
+//! agree on the verdict and, on commit, on the ideal.
 
 use std::collections::HashSet;
 
-use smarttrack_clock::ThreadId;
-use smarttrack_trace::{Event, EventId, Op, Trace, VarId};
+use smarttrack_trace::{EventId, Op, Trace};
 
 use crate::common::slot;
-use crate::counters::PathCounters;
-use crate::report::{AccessKind, RaceReport, Report};
-use crate::syncp::strong::StrongState;
-use crate::syncp::{lw_slot, Candidate, ClosureCounters, PairClosures, SyncPCore, VarState, NONE};
-use crate::{Detector, HotPathStats, OptLevel, Relation};
+use crate::syncp::{forced, lw_slot, raise, ClosureScratch, PairClosures, SyncPCore, NONE};
 
-/// Maximum closure restarts per pair. Each restart commits one more
-/// reversal directive, so this bounds both the search and `|R|`.
+/// Maximum closure attempts per pair, `R = ∅` included. Each restart
+/// commits one more reversal directive, so this bounds both the search and
+/// `|R|` (at most `MAX_ATTEMPTS - 1`).
 const MAX_ATTEMPTS: usize = 16;
 
 /// Maximum distinct replay states the DFS scheduler explores per pair
@@ -85,200 +73,115 @@ const DFS_STATE_BUDGET: usize = 1 << 17;
 /// before `early` starts.
 type Directive = (u32, u32);
 
+/// Reusable scratch for the journaling closure of aborted pairs.
 #[derive(Clone, Debug, Default)]
-struct OsrLockScratch {
-    gen: u32,
-    /// Sections of this lock whose acquisition is in the ideal, this
+pub(crate) struct OsrScratch {
+    /// The closure state, reset at every attempt.
+    closure: ClosureScratch,
+    /// Per lock: the sections whose acquisition is in the ideal, this
     /// attempt.
-    sections: Vec<u32>,
-}
-
-/// Per-barrier scratch for the conditional cross-round rule (identical to
-/// SyncP's: a partially-kept round must finish draining before the next
-/// round's enter).
-#[derive(Clone, Debug, Default)]
-struct OsrBarrierScratch {
-    touched: Vec<u32>,
-    enter_next: Vec<u32>,
-}
-
-/// Reusable scratch for one abort-and-commit check.
-#[derive(Clone, Debug, Default)]
-struct OsrScratch {
-    /// Per thread: number of events included in the ideal.
-    frontier: Vec<u32>,
-    /// Per thread: how many included events have been rule-processed.
-    processed: Vec<u32>,
-    /// Threads with `processed < frontier`.
-    dirty: Vec<u32>,
-    gen: u32,
-    locks: Vec<OsrLockScratch>,
-    barriers: Vec<OsrBarrierScratch>,
+    sections: Vec<Vec<u32>>,
     /// Rule-3 pulls executed this attempt: `(early, late, reversed)`.
     /// The abort handler mines these for the next directive.
     pulls: Vec<(u32, u32, bool)>,
 }
 
-/// Runs one closure attempt under `directives`. Returns `true` when the
-/// closure stabilized without forcing either endpoint (the frontier then
-/// describes the ideal); `false` on abort, with `scratch.pulls` holding
-/// this attempt's rule-3 pulls.
+impl OsrScratch {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.closure.heap_bytes()
+            + self.sections.capacity() * size_of::<Vec<u32>>()
+            + self
+                .sections
+                .iter()
+                .map(|s| s.capacity() * size_of::<u32>())
+                .sum::<usize>()
+            + self.pulls.capacity() * size_of::<(u32, u32, bool)>()
+    }
+}
+
+/// Runs one closure attempt under `directives`, with `work` as the
+/// worklist scratch. Returns `true` when the closure stabilized without
+/// forcing either endpoint (the closure frontier then describes the
+/// ideal); `false` on abort, with `scratch.pulls` holding this attempt's
+/// rule-3 pulls. Like [`SyncPCore::check_pair`] it stops after the event
+/// that forced an endpoint, and that event's pulls are journaled before
+/// their edges are raised.
 fn osr_close(
     core: &SyncPCore,
     scratch: &mut OsrScratch,
+    work: &mut Vec<u32>,
     directives: &[Directive],
     a: u32,
     b: u32,
 ) -> bool {
     let (ma, mb) = (core.meta[a as usize], core.meta[b as usize]);
-    debug_assert_ne!(ma.tid, mb.tid);
-    scratch.gen = scratch.gen.wrapping_add(1);
-    let nthreads = core.threads.len();
     let OsrScratch {
-        frontier,
-        processed,
-        dirty,
-        gen,
-        locks,
-        barriers,
+        closure,
+        sections,
         pulls,
     } = scratch;
-    let gen = *gen;
-    frontier.clear();
-    frontier.resize(nthreads, 0);
-    processed.clear();
-    processed.resize(nthreads, 0);
-    dirty.clear();
+    closure.reset();
+    sections.iter_mut().for_each(Vec::clear);
     pulls.clear();
-
-    // `raise` returns `true` as soon as a rule forces either endpoint into
-    // the ideal.
-    let raise = |frontier: &mut [u32], dirty: &mut Vec<u32>, t: u32, upto: u32| -> bool {
-        if upto > frontier[t as usize] {
-            if (t == ma.tid && upto > ma.tpos) || (t == mb.tid && upto > mb.tpos) {
-                return true;
-            }
-            frontier[t as usize] = upto;
-            dirty.push(t);
-        }
-        false
-    };
-    let mut ordered =
-        raise(frontier, dirty, ma.tid, ma.tpos) || raise(frontier, dirty, mb.tid, mb.tpos);
-    for m in [ma, mb] {
-        if m.tpos == 0 {
-            let f = core.threads[m.tid as usize].fork;
-            if f != NONE {
-                let fm = core.meta[f as usize];
-                ordered |= raise(frontier, dirty, fm.tid, fm.tpos + 1);
-            }
-        }
-    }
-    if ordered {
+    if core.start(closure, work, ma, mb) {
         return false;
     }
-
-    'outer: while let Some(t) = dirty.pop() {
+    let ClosureScratch {
+        frontier,
+        processed,
+        rare,
+        ..
+    } = closure;
+    while let Some(t) = work.pop() {
         while processed[t as usize] < frontier[t as usize] {
-            if ordered {
-                break 'outer;
-            }
             let pos = processed[t as usize];
             processed[t as usize] = pos + 1;
             let idx = core.threads[t as usize].proj[pos as usize];
             let m = core.meta[idx as usize];
-            if m.tpos == 0 {
-                let f = core.threads[t as usize].fork;
-                if f != NONE {
-                    let fm = core.meta[f as usize];
-                    ordered |= raise(frontier, dirty, fm.tid, fm.tpos + 1);
+            // Set when rule 3 demands the release of a still-open section.
+            let mut open_demand = false;
+            core.edges(m, frontier, work, rare, |frontier, work, _| {
+                if matches!(m.op, Op::Release(_)) {
+                    return;
                 }
-            }
-            match m.op {
-                Op::Read(_) | Op::VolatileRead(_) if m.aux != NONE => {
-                    let lw = core.meta[m.aux as usize];
-                    ordered |= raise(frontier, dirty, lw.tid, lw.tpos + 1);
-                }
-                Op::Wait(..) if m.aux != NONE => {
-                    for &p in &core.prereqs[m.aux as usize] {
-                        let pm = core.meta[p as usize];
-                        ordered |= raise(frontier, dirty, pm.tid, pm.tpos + 1);
+                let s_idx = m.aux;
+                let s = core.sections[s_idx as usize];
+                let included = slot(sections, s.lock as usize);
+                // Rule 3, pairwise against every included section of this
+                // lock. Unlike SyncP's max/pending encoding the full pair
+                // identity is needed here, because directive membership
+                // is per pair.
+                for &p_idx in included.iter() {
+                    let ps = core.sections[p_idx as usize];
+                    if !(ps.write || s.write) {
+                        continue; // two read-mode sections: unordered
                     }
-                }
-                Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
-                    let rounds = &core.barriers[bar.index()].rounds;
-                    let r = m.aux as usize;
-                    let mut pull = |pool: u32| {
-                        for &p in &core.prereqs[pool as usize] {
-                            let pm = core.meta[p as usize];
-                            ordered |= raise(frontier, dirty, pm.tid, pm.tpos + 1);
-                        }
+                    let (early, late) = if ps.acq < s.acq {
+                        (p_idx, s_idx)
+                    } else {
+                        (s_idx, p_idx)
                     };
-                    let bsc = slot(barriers, bar.index());
-                    if bsc.touched.len() < rounds.len() {
-                        bsc.touched.resize(rounds.len(), 0);
-                        bsc.enter_next.resize(rounds.len(), 0);
-                    }
-                    if matches!(m.op, Op::BarrierExit(_)) {
-                        pull(rounds[r].0);
-                    }
-                    if r < rounds.len() {
-                        bsc.touched[r] = gen;
-                        if bsc.enter_next[r] == gen {
-                            pull(rounds[r].1);
-                        }
-                    }
-                    if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
-                        bsc.enter_next[r - 1] = gen;
-                        if bsc.touched[r - 1] == gen {
-                            pull(rounds[r - 1].1);
-                        }
+                    let reversed = directives.contains(&(early, late));
+                    pulls.push((early, late, reversed));
+                    let rel = core.sections[if reversed { late } else { early } as usize].rel;
+                    if rel == NONE {
+                        // A demanded release that never happened (open
+                        // section): not schedulable either way.
+                        open_demand = true;
+                    } else {
+                        let rm = core.meta[rel as usize];
+                        raise(frontier, work, rm.tid, rm.tpos + 1);
                     }
                 }
-                Op::Join(u) => {
-                    ordered |= raise(frontier, dirty, u.raw(), m.aux);
-                }
-                Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) if m.aux != NONE => {
-                    let s_idx = m.aux;
-                    let s = core.sections[s_idx as usize];
-                    let ls = slot(locks, s.lock as usize);
-                    if ls.gen != gen {
-                        ls.gen = gen;
-                        ls.sections.clear();
-                    }
-                    // Rule 3, pairwise against every included section of
-                    // this lock. Unlike SyncP's max/pending encoding the
-                    // full pair identity is needed here, because directive
-                    // membership is per pair.
-                    for &p_idx in &ls.sections {
-                        let ps = core.sections[p_idx as usize];
-                        if !(ps.write || s.write) {
-                            continue; // two read-mode sections: unordered
-                        }
-                        let (early, late) = if ps.acq < s.acq {
-                            (p_idx, s_idx)
-                        } else {
-                            (s_idx, p_idx)
-                        };
-                        let reversed = directives.contains(&(early, late));
-                        pulls.push((early, late, reversed));
-                        let rel = core.sections[if reversed { late } else { early } as usize].rel;
-                        if rel == NONE {
-                            // A demanded release that never happened (open
-                            // section): not schedulable either way.
-                            ordered = true;
-                        } else {
-                            let rm = core.meta[rel as usize];
-                            ordered |= raise(frontier, dirty, rm.tid, rm.tpos + 1);
-                        }
-                    }
-                    ls.sections.push(s_idx);
-                }
-                _ => {}
+                included.push(s_idx);
+            });
+            if open_demand || forced(ma, mb, frontier) {
+                return false;
             }
         }
     }
-    !ordered
+    true
 }
 
 #[derive(Clone, Debug, Default)]
@@ -313,6 +216,10 @@ enum Undo {
 /// protocol, and fork/join gating. Mirrors the enabledness model of the
 /// vindication oracle, with the trace model's stricter barrier rule (no
 /// gathering while a round drains).
+///
+/// The search is iterative: one explicit [`Frame`] per replayed event, so
+/// its depth — up to the whole ideal — is bounded by the heap, not by the
+/// calling thread's stack.
 struct Replay<'c> {
     core: &'c SyncPCore,
     /// The ideal, split per thread (each list in trace = program order).
@@ -325,8 +232,18 @@ struct Replay<'c> {
     bars: Vec<BarRep>,
     visited: HashSet<Vec<u32>>,
     states: usize,
+    /// Set when the search stopped at [`DFS_STATE_BUDGET`].
+    exhausted: bool,
     out: Vec<u32>,
     remaining: usize,
+}
+
+/// One DFS level: the enabled events of a replay state, the next one to
+/// try, and the step taken into the child state (undone on backtrack).
+struct Frame {
+    cands: Vec<u32>,
+    next: usize,
+    taken: Option<(u32, Undo)>,
 }
 
 impl<'c> Replay<'c> {
@@ -351,6 +268,7 @@ impl<'c> Replay<'c> {
             bars: Vec::new(),
             visited: HashSet::new(),
             states: 0,
+            exhausted: false,
             out: Vec::with_capacity(remaining),
             remaining,
         }
@@ -385,8 +303,7 @@ impl<'c> Replay<'c> {
                 let st = self.bars.get(bar.index());
                 let live = st.is_some_and(|st| st.draining > 0 || st.gathered > 0);
                 let r = m.aux as usize;
-                live && self.core.prereqs
-                    [self.core.barriers[bar.index()].rounds[r].0 as usize]
+                live && self.core.prereqs[self.core.barriers[bar.index()].rounds[r].0 as usize]
                     .iter()
                     .all(|&p| self.executed[p as usize])
             }
@@ -405,19 +322,13 @@ impl<'c> Replay<'c> {
                 let cell = lw_slot(&mut self.lw, x.index());
                 let prev = *cell;
                 *cell = e;
-                Undo::Lw {
-                    x: x.index(),
-                    prev,
-                }
+                Undo::Lw { x: x.index(), prev }
             }
             Op::VolatileWrite(v) => {
                 let cell = lw_slot(&mut self.vol_lw, v.index());
                 let prev = *cell;
                 *cell = e;
-                Undo::VolLw {
-                    v: v.index(),
-                    prev,
-                }
+                Undo::VolLw { v: v.index(), prev }
             }
             Op::Acquire(l) | Op::AcqWrite(l) => {
                 slot(&mut self.locks, l.index()).write_held = true;
@@ -488,15 +399,22 @@ impl<'c> Replay<'c> {
         }
     }
 
-    fn dfs(&mut self) -> bool {
+    /// Enters the current replay state: `Ok` with its enabled events,
+    /// lowest event index first, when it is to be expanded; `Err(true)`
+    /// when the whole ideal is replayed, `Err(false)` when the state was
+    /// seen before or the budget is spent.
+    fn visit(&mut self) -> Result<Vec<u32>, bool> {
         if self.remaining == 0 {
-            return true;
+            return Err(true);
         }
-        if self.states >= DFS_STATE_BUDGET || !self.visited.insert(self.positions.clone()) {
-            return false;
+        if self.states >= DFS_STATE_BUDGET {
+            self.exhausted = true;
+            return Err(false);
+        }
+        if !self.visited.insert(self.positions.clone()) {
+            return Err(false);
         }
         self.states += 1;
-        // Deterministic order: lowest event index first.
         let mut cands: Vec<u32> = (0..self.per_thread.len())
             .filter_map(|t| {
                 self.per_thread[t]
@@ -506,19 +424,45 @@ impl<'c> Replay<'c> {
             })
             .collect();
         cands.sort_unstable();
-        for e in cands {
-            let undo = self.step(e);
-            if self.dfs() {
-                return true;
+        Ok(cands)
+    }
+
+    /// Searches for a schedule of the whole ideal, leaving it in `out`.
+    fn dfs(&mut self) -> bool {
+        let mut stack = match self.visit() {
+            Ok(cands) => vec![Frame {
+                cands,
+                next: 0,
+                taken: None,
+            }],
+            Err(found) => return found,
+        };
+        while let Some(frame) = stack.last_mut() {
+            if let Some((e, undo)) = frame.taken.take() {
+                self.unstep(e, undo);
             }
-            self.unstep(e, undo);
+            let Some(&e) = frame.cands.get(frame.next) else {
+                stack.pop();
+                continue;
+            };
+            frame.next += 1;
+            frame.taken = Some((e, self.step(e)));
+            match self.visit() {
+                Ok(cands) => stack.push(Frame {
+                    cands,
+                    next: 0,
+                    taken: None,
+                }),
+                Err(true) => return true,
+                Err(false) => {}
+            }
         }
         false
     }
 }
 
 /// How [`osr_check`] committed a racing pair.
-enum Commit {
+pub(crate) enum Commit {
     /// Attempt `R = ∅` committed: SyncP's closure left the ideal in the
     /// pair's [`PairClosures`] frontier, and in trace order it is the
     /// witness.
@@ -532,349 +476,44 @@ enum Commit {
 /// Returns how the pair committed when it is an OSR race, `None`
 /// otherwise. Attempt `R = ∅` runs SyncP's linear closure; only when it
 /// aborts does the journaling closure rerun to mine reversal directives.
-fn osr_check(
+/// A pair dropped because the attempts or the DFS budget ran out is
+/// counted in `closures.counters`. `scratch` is allocated at the first
+/// abort.
+pub(crate) fn osr_check(
     core: &SyncPCore,
     closures: &mut PairClosures,
-    scratch: &mut OsrScratch,
+    scratch: &mut Option<Box<OsrScratch>>,
     a: u32,
     b: u32,
 ) -> Option<Commit> {
     if closures.check(core, a, b) {
         return Some(Commit::SyncP);
     }
+    let scratch = scratch.get_or_insert_with(Box::default);
     // Same least fixpoint, so the journaling closure aborts too; it is
     // rerun only for its pull journal.
-    let committed = osr_close(core, scratch, &[], a, b);
+    let committed = osr_close(core, scratch, &mut closures.work, &[], a, b);
     debug_assert!(!committed, "osr_close(R = ∅) must agree with check_pair");
     let mut directives: Vec<Directive> = Vec::new();
-    for _ in 1..MAX_ATTEMPTS {
+    loop {
         // Reverse the most recent lock culprit not yet reversed; if the
         // abort had no reversible lock pull, no reversal can help.
         let next = scratch.pulls.iter().rev().find(|&&(e, l, rev)| {
             !rev && core.sections[e as usize].rel != NONE && core.sections[l as usize].rel != NONE
         });
         let &(e, l, _) = next?;
+        if directives.len() + 1 == MAX_ATTEMPTS {
+            closures.counters.attempts_exhausted += 1;
+            return None;
+        }
         directives.push((e, l));
-        if osr_close(core, scratch, &directives, a, b) {
-            let mut replay = Replay::new(core, &scratch.frontier);
-            return replay
-                .dfs()
-                .then(|| Commit::Replayed(std::mem::take(&mut replay.out)));
-        }
-    }
-    None
-}
-
-/// The optimistic synchronization-reversal race predictor (`OSR`) — see
-/// the module docs for the relation and the abort-and-commit check.
-///
-/// # Examples
-///
-/// OSR detects a race hidden behind a same-lock section reversal, which
-/// SyncP provably cannot report:
-///
-/// ```
-/// use smarttrack_detect::{run_detector, Detector, Osr, SyncP};
-/// use smarttrack_trace::{LockId, Op, ThreadId, TraceBuilder, VarId};
-///
-/// let (t1, t2) = (ThreadId::new(0), ThreadId::new(1));
-/// let (l, x, y) = (LockId::new(0), VarId::new(0), VarId::new(1));
-/// let mut b = TraceBuilder::new();
-/// b.push(t1, Op::Acquire(l)).unwrap();
-/// b.push(t1, Op::Write(y)).unwrap();
-/// b.push(t1, Op::Write(x)).unwrap(); // e1
-/// b.push(t1, Op::Release(l)).unwrap();
-/// b.push(t2, Op::Acquire(l)).unwrap();
-/// b.push(t2, Op::Write(y)).unwrap();
-/// b.push(t2, Op::Release(l)).unwrap();
-/// b.push(t2, Op::Write(x)).unwrap(); // e2: races with e1 under OSR only
-/// let trace = b.finish();
-///
-/// let mut syncp = SyncP::new();
-/// run_detector(&mut syncp, &trace);
-/// assert_eq!(syncp.report().dynamic_count(), 0);
-///
-/// let mut osr = Osr::new();
-/// run_detector(&mut osr, &trace);
-/// assert_eq!(osr.report().dynamic_count(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Osr {
-    core: SyncPCore,
-    strong: StrongState,
-    vars: Vec<VarState>,
-    closures: PairClosures,
-    scratch: OsrScratch,
-    report: Report,
-    paths: PathCounters,
-}
-
-impl Osr {
-    /// Creates the analysis with empty state.
-    pub fn new() -> Self {
-        Osr::default()
-    }
-
-    /// Closure runs, resumed runs and events walked so far by the `R = ∅`
-    /// attempts (the journaling closure of aborted pairs is not counted).
-    #[doc(hidden)]
-    pub fn closure_counters(&self) -> ClosureCounters {
-        self.closures.counters()
-    }
-
-    /// Strong-clock order test: is the access at `idx` ordered before the
-    /// current point of thread `t`?
-    #[inline]
-    fn strong_ordered(&self, t: usize, idx: u32) -> bool {
-        let m = self.core.meta[idx as usize];
-        self.strong.ordered_before(t, ThreadId::new(m.tid), m.tpos)
-    }
-
-    /// Common-lock prefilter: both endpoints hold `l` and at least one
-    /// hold is write-mode ⇒ mutual exclusion orders them under *any*
-    /// section order, reversed or not.
-    #[inline]
-    fn common_lock(cur: &[(u32, bool, u32)], cand: &[(u32, bool)]) -> bool {
-        cur.iter()
-            .any(|&(l, w, _)| cand.iter().any(|&(cl, cw)| cl == l && (w || cw)))
-    }
-
-    fn access(&mut self, id: EventId, event: &Event, x: VarId, is_write: bool) {
-        let idx = (self.core.meta.len() - 1) as u32; // ingest() already ran
-        let t = event.tid.index();
-        let vs = slot(&mut self.vars, x.index());
-        let key = (t as u32, self.core.threads[t].ctx, vs.version);
-        let cached = if is_write {
-            vs.write_check
-        } else {
-            vs.read_check
-        };
-        if cached == key {
-            // Epoch fast path, exactly as in SyncP: skip the checks but
-            // still advance the candidate (plain writes publish reads-from
-            // edges without bumping `ctx`).
-            self.paths.fast += 1;
-            let vs = &mut self.vars[x.index()];
-            let list = if is_write {
-                &mut vs.writes
-            } else {
-                &mut vs.reads
-            };
-            let c = list
-                .iter_mut()
-                .find(|c| c.tid == t as u32)
-                .expect("a matching cache key implies a stored candidate");
-            c.idx = idx;
-            vs.version += 1;
-            let key = (t as u32, self.core.threads[t].ctx, vs.version);
-            if is_write {
-                vs.write_check = key;
-            } else {
-                vs.read_check = key;
+        if osr_close(core, scratch, &mut closures.work, &directives, a, b) {
+            let mut replay = Replay::new(core, &scratch.closure.frontier);
+            if replay.dfs() {
+                return Some(Commit::Replayed(replay.out));
             }
-            return;
-        }
-        self.paths.slow += 1;
-
-        let mut prior: Vec<ThreadId> = Vec::new();
-        let cur_holds = &self.core.threads[t].held;
-        let vs = &self.vars[x.index()];
-        let reads: &[Candidate] = if is_write { &vs.reads } else { &[] };
-        for c in vs.writes.iter().chain(reads) {
-            let tid = ThreadId::new(c.tid);
-            if c.tid == t as u32 || prior.contains(&tid) {
-                continue;
-            }
-            if self.strong_ordered(t, c.idx) || Self::common_lock(cur_holds, &c.holds) {
-                continue;
-            }
-            // The verdict path: no ideal is built for a SyncP commit.
-            if osr_check(
-                &self.core,
-                &mut self.closures,
-                &mut self.scratch,
-                c.idx,
-                idx,
-            )
-            .is_some()
-            {
-                prior.push(tid);
-            }
-        }
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc: event.loc,
-                tid: event.tid,
-                var: x,
-                kind: if is_write {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-                prior_threads: prior,
-            });
-        }
-
-        let vs = &mut self.vars[x.index()];
-        let list = if is_write {
-            &mut vs.writes
-        } else {
-            &mut vs.reads
-        };
-        let c = match list.iter_mut().find(|c| c.tid == t as u32) {
-            Some(c) => c,
-            None => {
-                list.push(Candidate {
-                    tid: t as u32,
-                    ..Candidate::default()
-                });
-                list.last_mut().expect("just pushed")
-            }
-        };
-        c.idx = idx;
-        c.holds.clear();
-        c.holds.extend(cur_holds.iter().map(|&(l, w, _)| (l, w)));
-        vs.version += 1;
-        let key = (t as u32, self.core.threads[t].ctx, vs.version);
-        if is_write {
-            vs.write_check = key;
-        } else {
-            vs.read_check = key;
-        }
-    }
-}
-
-impl Detector for Osr {
-    fn name(&self) -> &'static str {
-        "OSR"
-    }
-
-    fn relation(&self) -> Relation {
-        Relation::Osr
-    }
-
-    fn opt_level(&self) -> OptLevel {
-        OptLevel::Unopt
-    }
-
-    fn begin_stream(&mut self, hint: crate::StreamHint) {
-        use crate::StreamHint;
-        self.core
-            .meta
-            .reserve(StreamHint::presize(hint.events, self.core.meta.len()));
-        self.vars
-            .reserve(StreamHint::presize(hint.vars, self.vars.len()));
-        self.strong.reserve_threads(StreamHint::presize(
-            hint.threads,
-            self.strong.thread_count(),
-        ));
-    }
-
-    fn process(&mut self, id: EventId, event: &Event) {
-        let t = event.tid;
-        self.core.ingest(self.core.meta.len() as u32, event);
-        let tpos = self.core.meta.last().expect("just ingested").tpos;
-        // Identical per-op strong-clock and sync-context bookkeeping to
-        // SyncP — the relations differ only in the pair check.
-        self.strong.stamp(t, tpos);
-        match event.op {
-            Op::Read(x) => {
-                self.access(id, event, x, false);
-                let m = self.core.meta.last().expect("present");
-                if m.aux != NONE {
-                    self.strong.absorb_read_from(t, x.index());
-                }
-            }
-            Op::Write(x) => {
-                self.access(id, event, x, true);
-                self.strong.stamp_last_write(t, x.index());
-            }
-            Op::VolatileRead(v) => {
-                self.strong.absorb_volatile(t, v.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::VolatileWrite(v) => {
-                self.strong.stamp_volatile(t, v.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Fork(u) => {
-                self.strong.fork(t, u);
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Join(u) => {
-                self.strong.join_child(t, u);
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Wait(c, _) => {
-                self.strong.absorb_notifies(t, c.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Notify(c) | Op::NotifyAll(c) => {
-                self.strong.publish_notify(t, c.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::BarrierEnter(b) => {
-                self.strong.barrier_enter(t, b.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::BarrierExit(b) => {
-                self.strong.barrier_exit(t, b.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Acquire(_)
-            | Op::AcqRead(_)
-            | Op::AcqWrite(_)
-            | Op::Release(_)
-            | Op::TryAcqFail(_) => {
-                self.core.thread(t.index()).ctx += 1;
-            }
-        }
-    }
-
-    fn report(&self) -> &Report {
-        &self.report
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.core.footprint_bytes()
-            + self.strong.footprint_bytes()
-            + self.vars.capacity() * size_of::<VarState>()
-            + self
-                .vars
-                .iter()
-                .map(|vs| {
-                    vs.writes
-                        .iter()
-                        .chain(vs.reads.iter())
-                        .map(|c| c.holds.capacity() * size_of::<(u32, bool)>())
-                        .sum::<usize>()
-                        + (vs.writes.capacity() + vs.reads.capacity()) * size_of::<Candidate>()
-                })
-                .sum::<usize>()
-            + self.closures.walk_bytes()
-            + self.report.footprint_bytes()
-    }
-
-    fn state_bytes(&self) -> usize {
-        // The buffered event log dominates, exactly as for SyncP.
-        self.core.resident_bytes()
-            + self.strong.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
-            + self.closures.resident_bytes()
-            + self.report.footprint_bytes()
-    }
-
-    fn state_bytes_walk(&self) -> usize {
-        self.state_bytes() - self.closures.resident_bytes() + self.closures.walk_bytes()
-    }
-
-    fn hot_path_stats(&self) -> HotPathStats {
-        HotPathStats {
-            fast_hits: self.paths.fast,
-            slow_hits: self.paths.slow,
-            state_bytes: self.state_bytes(),
+            closures.counters.dfs_exhausted += u64::from(replay.exhausted);
+            return None;
         }
     }
 }
@@ -892,38 +531,20 @@ impl Detector for Osr {
 ///
 /// Panics if either id is out of bounds or the events do not conflict.
 pub fn osr_pair_witness(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<EventId>> {
-    let (a, b) = if e1.index() <= e2.index() {
-        (e1, e2)
-    } else {
-        (e2, e1)
-    };
-    assert!(
-        trace.event(a).conflicts_with(trace.event(b)),
-        "osr_pair_witness wants a conflicting pair"
-    );
-    let mut core = SyncPCore::default();
-    for (id, event) in trace.iter() {
-        if id.index() > b.index() {
-            break;
+    SyncPCore::pair_witness(trace, e1, e2, |core, a, b| {
+        let mut closures = PairClosures::default();
+        match osr_check(core, &mut closures, &mut None, a, b)? {
+            Commit::SyncP => Some(core.ideal(closures.frontier(core, a, b))),
+            Commit::Replayed(order) => Some(order),
         }
-        core.ingest(id.index() as u32, event);
-    }
-    let (a, b) = (a.index() as u32, b.index() as u32);
-    let mut closures = PairClosures::default();
-    let commit = osr_check(&core, &mut closures, &mut OsrScratch::default(), a, b)?;
-    let mut order = match commit {
-        Commit::SyncP => core.ideal(closures.frontier(&core, a, b)),
-        Commit::Replayed(order) => order,
-    };
-    order.extend([a, b]);
-    Some(order.into_iter().map(EventId::new).collect())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_detector;
-    use smarttrack_trace::{paper, LockId, ThreadId, TraceBuilder};
+    use crate::{run_detector, Detector, Osr};
+    use smarttrack_trace::{paper, LockId, ThreadId, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)
@@ -935,7 +556,7 @@ mod tests {
         LockId::new(i)
     }
 
-    fn run(b: TraceBuilder) -> Report {
+    fn run(b: TraceBuilder) -> crate::Report {
         let mut det = Osr::new();
         run_detector(&mut det, &b.finish());
         det.report().clone()
@@ -1041,6 +662,7 @@ mod tests {
             let mut core = SyncPCore::default();
             let mut closures = PairClosures::default();
             let mut scratch = OsrScratch::default();
+            let mut work = Vec::new();
             for (id, event) in tr.iter() {
                 let b = id.index() as u32;
                 core.ingest(b, event);
@@ -1050,13 +672,13 @@ mod tests {
                     }
                     let a = prev.index() as u32;
                     let fast = closures.check(&core, a, b);
-                    let slow = osr_close(&core, &mut scratch, &[], a, b);
+                    let slow = osr_close(&core, &mut scratch, &mut work, &[], a, b);
                     assert_eq!(fast, slow, "seed {seed}: verdicts differ on ({a}, {b})");
                     if fast {
                         commits += 1;
                         assert_eq!(
                             closures.frontier(&core, a, b),
-                            scratch.frontier,
+                            scratch.closure.frontier,
                             "seed {seed}: committed ideals differ on ({a}, {b})"
                         );
                     } else {
@@ -1129,18 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn common_lock_still_excludes_under_reversal() {
-        let mut b = TraceBuilder::new();
-        b.push(t(0), Op::Acquire(m(0))).unwrap();
-        b.push(t(0), Op::Write(x(0))).unwrap();
-        b.push(t(0), Op::Release(m(0))).unwrap();
-        b.push(t(1), Op::Acquire(m(0))).unwrap();
-        b.push(t(1), Op::Write(x(0))).unwrap();
-        b.push(t(1), Op::Release(m(0))).unwrap();
-        assert!(run(b).is_empty());
-    }
-
-    #[test]
     fn state_accounting_is_nonzero() {
         let mut det = Osr::new();
         run_detector(&mut det, &paper::figure1());
@@ -1148,5 +758,26 @@ mod tests {
         assert!(det.footprint_bytes() >= det.core.resident_bytes());
         let stats = det.hot_path_stats();
         assert!(stats.fast_hits + stats.slow_hits > 0);
+    }
+
+    /// The journaling scratch an aborted pair leaves behind — above all
+    /// its pull journal, O(S²) per lock — is resident state: both the
+    /// estimate and the exact walk count every byte of it.
+    #[test]
+    fn journaling_scratch_is_counted_in_both_footprints() {
+        let mut det = Osr::new();
+        run_detector(&mut det, &reversal_trace());
+        let scratch = det.scratch.as_ref().expect("the reversal pair aborts");
+        assert!(
+            scratch.pulls.capacity() > 0,
+            "the aborted pair journals its pulls"
+        );
+        let scratch = std::mem::size_of::<OsrScratch>() + scratch.heap_bytes();
+        let (state, footprint) = (det.state_bytes(), det.footprint_bytes());
+        let kept = std::mem::take(&mut det.scratch);
+        assert_eq!(state - det.state_bytes(), scratch);
+        assert_eq!(footprint - det.footprint_bytes(), scratch);
+        det.scratch = kept;
+        assert!(det.state_bytes() <= det.footprint_bytes());
     }
 }

@@ -77,16 +77,19 @@
 //! a SyncP lane grows without limit — bound the session's lifetime, or run
 //! SyncP offline via the windowed pipeline.
 //!
-//! # OSR seam
+//! # One detector, two pair checks
 //!
 //! Optimistic synchronization-reversal prediction (Shi, Mathur &
 //! Pavlogiannis, arXiv 2401.05642) relaxes rule 3's
 //! observed-acquisition-order constraint with a bounded search over
-//! acquisition commutations. The sibling [`crate::Osr`] module runs its
-//! first attempt (no reversals) through this module's closure check
-//! unchanged, and only pairs that abort here pay for its journaling rule
-//! table over the same metadata ([`SyncPCore`]: sections, observation
-//! edges, rendezvous rounds).
+//! acquisition commutations; with no reversals it *is* sync-preserving
+//! prediction. So [`SyncPreserving`] is one detector, generic over the
+//! pair check: [`SyncP`] answers a candidate pair with this module's
+//! closure check alone, and [`Osr`] runs the same check first and only on
+//! an abort falls back to the `osr` module's search. That search reruns
+//! the closure with a journaling, directive-aware rule 3 of its own, over
+//! the same metadata ([`SyncPCore`]) and the same edge table for rules 1,
+//! 2, 4 and 5 ([`SyncPCore::edges`]).
 
 pub(crate) mod strong;
 
@@ -97,6 +100,7 @@ use smarttrack_trace::{Event, EventId, Op, Trace, VarId};
 
 use crate::common::slot;
 use crate::counters::PathCounters;
+use crate::osr::{osr_check, OsrScratch};
 use crate::report::{AccessKind, RaceReport, Report};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
@@ -214,7 +218,7 @@ pub(crate) struct ClosureScratch {
     /// Per thread: number of events included in the ideal.
     pub(crate) frontier: Vec<u32>,
     /// Per thread: how many included events have been rule-processed.
-    processed: Vec<u32>,
+    pub(crate) processed: Vec<u32>,
     /// Per lock: the latest processed acquisition (event index + 1; 0 =
     /// none), or-ed with [`SPLIT`]. Until a lock's first read-mode
     /// acquisition is processed, its latest write-mode acquisition is this
@@ -224,7 +228,7 @@ pub(crate) struct ClosureScratch {
     /// release is neither processed nor demanded.
     pending: Vec<u32>,
     /// Read-mode lock and barrier state, allocated once a pair meets one.
-    rare: Option<Box<RareRules>>,
+    pub(crate) rare: Option<Box<RareRules>>,
     /// The endpoints' thread positions at the last check, lower thread id
     /// first; [`NONE`] when the state must not be resumed.
     seed: [u32; 2],
@@ -233,7 +237,7 @@ pub(crate) struct ClosureScratch {
 /// The part of a [`ClosureScratch`] that only read-mode acquisitions and
 /// barrier ops use.
 #[derive(Clone, Debug, Default)]
-struct RareRules {
+pub(crate) struct RareRules {
     /// `(lock, latest processed write-mode acquisition + 1)` for the locks
     /// flagged [`SPLIT`], sorted by lock.
     write_max: Vec<(u32, u32)>,
@@ -242,7 +246,7 @@ struct RareRules {
 }
 
 impl ClosureScratch {
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.frontier.clear();
         self.processed.clear();
         self.locks.clear();
@@ -256,7 +260,7 @@ impl ClosureScratch {
         self.processed.iter().map(|&p| u64::from(p)).sum()
     }
 
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.frontier.capacity()
             + self.processed.capacity()
@@ -274,13 +278,17 @@ impl ClosureScratch {
 
 /// Closure counters of a SyncP or OSR lane: the sync-preserving closures
 /// run, how many of them resumed an earlier closure of the same thread
-/// pair, and the events they rule-processed.
+/// pair, and the events they rule-processed. OSR also counts its give-ups:
+/// aborted pairs dropped because the reversal search ran out of attempts
+/// or its replay ran out of DFS states (sound, but a precision loss).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClosureCounters {
     pub runs: u64,
     pub resumed: u64,
     pub walked: u64,
+    pub attempts_exhausted: u64,
+    pub dfs_exhausted: u64,
 }
 
 /// One resumable closure per unordered thread pair `{tₐ, t_b}`.
@@ -316,11 +324,12 @@ pub struct ClosureCounters {
 #[derive(Debug, Default)]
 pub(crate) struct PairClosures {
     pairs: HashMap<u64, ClosureScratch>,
-    /// The closure worklist, shared by every pair.
-    work: Vec<u32>,
+    /// The closure worklist, shared by every pair and by OSR's journaling
+    /// closure.
+    pub(crate) work: Vec<u32>,
     /// The pair states' heap bytes, kept current by [`PairClosures::check`].
     heap: usize,
-    counters: ClosureCounters,
+    pub(crate) counters: ClosureCounters,
     /// Start every check from an empty state: the reference that tests
     /// compare resumed closures against.
     fresh_only: bool,
@@ -447,12 +456,19 @@ pub(crate) fn lw_slot(v: &mut Vec<u32>, i: usize) -> &mut u32 {
 
 /// Closure rule edge: the first `upto` events of thread `t` join the ideal.
 #[inline]
-fn raise(frontier: &mut [u32], work: &mut Vec<u32>, t: u32, upto: u32) {
+pub(crate) fn raise(frontier: &mut [u32], work: &mut Vec<u32>, t: u32, upto: u32) {
     let f = &mut frontier[t as usize];
     if upto > *f {
         *f = upto;
         work.push(t);
     }
+}
+
+/// The pair `(ma, mb)` is synchronization-ordered, not a race, once a rule
+/// forces either endpoint into the ideal.
+#[inline]
+pub(crate) fn forced(ma: EventMeta, mb: EventMeta, frontier: &[u32]) -> bool {
+    frontier[ma.tid as usize] > ma.tpos || frontier[mb.tid as usize] > mb.tpos
 }
 
 impl SyncPCore {
@@ -592,6 +608,127 @@ impl SyncPCore {
         meta
     }
 
+    /// Starts or resumes a closure of the pair `(ma, mb)` on `st`: sizes
+    /// the per-thread rows, queues the threads still to process, and seeds
+    /// both proper prefixes. A racing event that is its thread's first must
+    /// still be enabled, so its fork joins the ideal too. Returns whether
+    /// the seed already forces an endpoint.
+    pub(crate) fn start(
+        &self,
+        st: &mut ClosureScratch,
+        work: &mut Vec<u32>,
+        ma: EventMeta,
+        mb: EventMeta,
+    ) -> bool {
+        debug_assert_ne!(ma.tid, mb.tid);
+        let nthreads = self.threads.len();
+        let ClosureScratch {
+            frontier,
+            processed,
+            ..
+        } = st;
+        if frontier.len() < nthreads {
+            for v in [&mut *frontier, &mut *processed] {
+                v.reserve_exact(nthreads - v.len());
+                v.resize(nthreads, 0);
+            }
+        }
+        work.clear();
+        work.extend((0..nthreads as u32).filter(|&t| processed[t as usize] < frontier[t as usize]));
+        raise(frontier, work, ma.tid, ma.tpos);
+        raise(frontier, work, mb.tid, mb.tpos);
+        for m in [ma, mb] {
+            self.fork_edge(m, frontier, work);
+        }
+        forced(ma, mb, frontier)
+    }
+
+    /// Rule 5's fork half: a thread's first event keeps its fork.
+    #[inline(always)]
+    fn fork_edge(&self, m: EventMeta, frontier: &mut [u32], work: &mut Vec<u32>) {
+        if m.tpos == 0 {
+            let f = self.threads[m.tid as usize].fork;
+            if f != NONE {
+                let fm = self.meta[f as usize];
+                raise(frontier, work, fm.tid, fm.tpos + 1);
+            }
+        }
+    }
+
+    /// The edge table of rules 1, 2, 4 and 5 for the included event `m`:
+    /// its fork, a read's observed writer, a wait's notifies, its barrier
+    /// round's pulls and a join's joined thread. Every edge is applied in
+    /// full. Both closures run this table; only their rule 3 differs, so
+    /// each passes its own as `lock_rule`, run for a section's acquisition
+    /// or release. Always inlined, so a closure's walk dispatches each
+    /// event once.
+    #[inline(always)]
+    pub(crate) fn edges(
+        &self,
+        m: EventMeta,
+        frontier: &mut [u32],
+        work: &mut Vec<u32>,
+        rare: &mut Option<Box<RareRules>>,
+        lock_rule: impl FnOnce(&mut [u32], &mut Vec<u32>, &mut Option<Box<RareRules>>),
+    ) {
+        self.fork_edge(m, frontier, work);
+        match m.op {
+            Op::Read(_) | Op::VolatileRead(_) if m.aux != NONE => {
+                let lw = self.meta[m.aux as usize];
+                raise(frontier, work, lw.tid, lw.tpos + 1);
+            }
+            Op::Wait(..) if m.aux != NONE => {
+                for &p in &self.prereqs[m.aux as usize] {
+                    let pm = self.meta[p as usize];
+                    raise(frontier, work, pm.tid, pm.tpos + 1);
+                }
+            }
+            // Rule 4's barrier half. `m.aux` is the event's round index;
+            // an exit pulls its round's enters, and the conditional
+            // cross-round rule pulls round r's exits once both some event
+            // of round r and an enter of round r + 1 are included
+            // (whichever lands second fires the pull).
+            Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
+                let rounds = &self.barriers[bar.index()].rounds;
+                let r = m.aux as usize;
+                let mut pull = |pool: u32| {
+                    for &p in &self.prereqs[pool as usize] {
+                        let pm = self.meta[p as usize];
+                        raise(frontier, work, pm.tid, pm.tpos + 1);
+                    }
+                };
+                // An enter of a still-gathering round has
+                // `r == rounds.len()`; it is marked touched all the same
+                // (see `PairClosures`).
+                let flags = slot(
+                    &mut rare.get_or_insert_with(Box::default).barriers,
+                    bar.index(),
+                );
+                if flags.len() <= r {
+                    flags.resize(rounds.len() + 1, 0);
+                }
+                if matches!(m.op, Op::BarrierExit(_)) {
+                    pull(rounds[r].0);
+                }
+                flags[r] |= TOUCHED;
+                if flags[r] & ENTER_NEXT != 0 {
+                    pull(rounds[r].1);
+                }
+                if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
+                    flags[r - 1] |= ENTER_NEXT;
+                    if flags[r - 1] & TOUCHED != 0 {
+                        pull(rounds[r - 1].1);
+                    }
+                }
+            }
+            Op::Join(u) => raise(frontier, work, u.raw(), m.aux),
+            Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) | Op::Release(_) if m.aux != NONE => {
+                lock_rule(frontier, work, rare)
+            }
+            _ => {}
+        }
+    }
+
     /// Runs the sync-preserving closure for the conflicting pair at event
     /// indexes `a < b`, extending whatever ideal `scratch` already holds —
     /// an empty one is a fresh closure, and [`PairClosures`] decides when
@@ -615,8 +752,9 @@ impl SyncPCore {
         b: u32,
     ) -> bool {
         let (ma, mb) = (self.meta[a as usize], self.meta[b as usize]);
-        debug_assert_ne!(ma.tid, mb.tid);
-        let nthreads = self.threads.len();
+        if self.start(scratch, work, ma, mb) {
+            return false;
+        }
         let nlocks = self.lock_count as usize;
         let ClosureScratch {
             frontier,
@@ -626,34 +764,6 @@ impl SyncPCore {
             rare,
             seed,
         } = scratch;
-        if frontier.len() < nthreads {
-            for v in [&mut *frontier, &mut *processed] {
-                v.reserve_exact(nthreads - v.len());
-                v.resize(nthreads, 0);
-            }
-        }
-        work.clear();
-        work.extend((0..nthreads as u32).filter(|&t| processed[t as usize] < frontier[t as usize]));
-        // The pair is synchronization-ordered, not a race, once a rule
-        // forces either endpoint into the ideal.
-        let forced = |f: &[u32]| f[ma.tid as usize] > ma.tpos || f[mb.tid as usize] > mb.tpos;
-
-        raise(frontier, work, ma.tid, ma.tpos);
-        raise(frontier, work, mb.tid, mb.tpos);
-        // A racing event that is its thread's first must still be
-        // enabled: its fork joins the ideal.
-        for m in [ma, mb] {
-            if m.tpos == 0 {
-                let f = self.threads[m.tid as usize].fork;
-                if f != NONE {
-                    let fm = self.meta[f as usize];
-                    raise(frontier, work, fm.tid, fm.tpos + 1);
-                }
-            }
-        }
-        if forced(frontier) {
-            return false;
-        }
 
         // Set when rule 3 demands the release of a still-open section.
         let mut open_demand = false;
@@ -663,133 +773,74 @@ impl SyncPCore {
             while pos < frontier[t as usize] {
                 let m = self.meta[proj[pos as usize] as usize];
                 pos += 1;
-                if m.tpos == 0 {
-                    let f = self.threads[t as usize].fork;
-                    if f != NONE {
-                        let fm = self.meta[f as usize];
-                        raise(frontier, work, fm.tid, fm.tpos + 1);
-                    }
-                }
-                match m.op {
-                    Op::Read(_) | Op::VolatileRead(_) if m.aux != NONE => {
-                        let lw = self.meta[m.aux as usize];
-                        raise(frontier, work, lw.tid, lw.tpos + 1);
-                    }
-                    Op::Wait(..) if m.aux != NONE => {
-                        for &p in &self.prereqs[m.aux as usize] {
-                            let pm = self.meta[p as usize];
-                            raise(frontier, work, pm.tid, pm.tpos + 1);
-                        }
-                    }
-                    // Rule 4's barrier half. `m.aux` is the event's round
-                    // index; an exit pulls its round's enters, and the
-                    // conditional cross-round rule pulls round r's exits
-                    // once both some event of round r and an enter of
-                    // round r + 1 are included (whichever lands second
-                    // fires the pull).
-                    Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
-                        let rounds = &self.barriers[bar.index()].rounds;
-                        let r = m.aux as usize;
-                        let mut pull = |pool: u32| {
-                            for &p in &self.prereqs[pool as usize] {
-                                let pm = self.meta[p as usize];
-                                raise(frontier, work, pm.tid, pm.tpos + 1);
-                            }
-                        };
-                        // An enter of a still-gathering round has
-                        // `r == rounds.len()`; it is marked touched all
-                        // the same (see `PairClosures`).
-                        let flags = slot(
-                            &mut rare.get_or_insert_with(Box::default).barriers,
-                            bar.index(),
-                        );
-                        if flags.len() <= r {
-                            flags.resize(rounds.len() + 1, 0);
-                        }
-                        if matches!(m.op, Op::BarrierExit(_)) {
-                            pull(rounds[r].0);
-                        }
-                        flags[r] |= TOUCHED;
-                        if flags[r] & ENTER_NEXT != 0 {
-                            pull(rounds[r].1);
-                        }
-                        if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
-                            flags[r - 1] |= ENTER_NEXT;
-                            if flags[r - 1] & TOUCHED != 0 {
-                                pull(rounds[r - 1].1);
-                            }
-                        }
-                    }
-                    Op::Join(u) => raise(frontier, work, u.raw(), m.aux),
-                    Op::Acquire(_) | Op::AcqWrite(_) | Op::AcqRead(_) if m.aux != NONE => {
-                        let s = self.sections[m.aux as usize];
-                        let mut demand = |p: Section| {
-                            if p.rel == NONE {
-                                // A demanded release that never happened
-                                // (open section): the pair is not
-                                // reorderable — treat as ordered.
-                                // Unreachable on well-formed traces.
-                                open_demand = true;
-                            } else {
-                                let rm = self.meta[p.rel as usize];
-                                raise(frontier, work, rm.tid, rm.tpos + 1);
-                            }
-                        };
-                        if locks.len() <= s.lock as usize {
-                            locks.reserve_exact(nlocks - locks.len());
-                            locks.resize(nlocks, 0);
-                        }
-                        let entry = locks[s.lock as usize];
-                        let max_any = entry & !SPLIT;
-                        let split = (entry & SPLIT != 0).then(|| {
-                            let w = &mut rare
-                                .as_mut()
-                                .expect("a SPLIT lock has rare state")
-                                .write_max;
-                            let i = w
-                                .binary_search_by_key(&s.lock, |&(l, _)| l)
-                                .expect("a SPLIT lock has a write maximum");
-                            &mut w[i].1
-                        });
-                        let max_w = split.as_deref().copied().unwrap_or(max_any);
-                        // Rule 3 against the processed acquisitions: a
-                        // later conflicting one demands this release, and
-                        // this one demands the release of every earlier
-                        // conflicting pending section.
-                        pending.retain(|&p| {
-                            let ps = self.sections[p as usize];
-                            let hit = ps.lock == s.lock && ps.acq < s.acq && (ps.write || s.write);
-                            if hit {
-                                demand(ps);
-                            }
-                            !hit
-                        });
-                        if (if s.write { max_any } else { max_w }) > s.acq {
-                            demand(s);
-                        } else {
-                            pending.push(m.aux);
-                        }
-                        let mut flag = entry & SPLIT;
-                        match (s.write, split) {
-                            (true, Some(w)) => *w = max_w.max(s.acq + 1),
-                            (false, None) => {
-                                let w = &mut rare.get_or_insert_with(Box::default).write_max;
-                                let i = w.partition_point(|&(l, _)| l < s.lock);
-                                w.insert(i, (s.lock, max_w));
-                                flag = SPLIT;
-                            }
-                            _ => {}
-                        }
-                        locks[s.lock as usize] = max_any.max(s.acq + 1) | flag;
-                    }
-                    Op::Release(_) if m.aux != NONE => {
+                self.edges(m, frontier, work, rare, |frontier, work, rare| {
+                    if matches!(m.op, Op::Release(_)) {
                         if let Some(i) = pending.iter().position(|&p| p == m.aux) {
                             pending.swap_remove(i);
                         }
+                        return;
                     }
-                    _ => {}
-                }
-                if open_demand || forced(frontier) {
+                    let s = self.sections[m.aux as usize];
+                    let mut demand = |p: Section| {
+                        if p.rel == NONE {
+                            // A demanded release that never happened
+                            // (open section): the pair is not reorderable
+                            // — treat as ordered. Unreachable on
+                            // well-formed traces.
+                            open_demand = true;
+                        } else {
+                            let rm = self.meta[p.rel as usize];
+                            raise(frontier, work, rm.tid, rm.tpos + 1);
+                        }
+                    };
+                    if locks.len() <= s.lock as usize {
+                        locks.reserve_exact(nlocks - locks.len());
+                        locks.resize(nlocks, 0);
+                    }
+                    let entry = locks[s.lock as usize];
+                    let max_any = entry & !SPLIT;
+                    let split = (entry & SPLIT != 0).then(|| {
+                        let w = &mut rare
+                            .as_mut()
+                            .expect("a SPLIT lock has rare state")
+                            .write_max;
+                        let i = w
+                            .binary_search_by_key(&s.lock, |&(l, _)| l)
+                            .expect("a SPLIT lock has a write maximum");
+                        &mut w[i].1
+                    });
+                    let max_w = split.as_deref().copied().unwrap_or(max_any);
+                    // Rule 3 against the processed acquisitions: a later
+                    // conflicting one demands this release, and this one
+                    // demands the release of every earlier conflicting
+                    // pending section.
+                    pending.retain(|&p| {
+                        let ps = self.sections[p as usize];
+                        let hit = ps.lock == s.lock && ps.acq < s.acq && (ps.write || s.write);
+                        if hit {
+                            demand(ps);
+                        }
+                        !hit
+                    });
+                    if (if s.write { max_any } else { max_w }) > s.acq {
+                        demand(s);
+                    } else {
+                        pending.push(m.aux);
+                    }
+                    let mut flag = entry & SPLIT;
+                    match (s.write, split) {
+                        (true, Some(w)) => *w = max_w.max(s.acq + 1),
+                        (false, None) => {
+                            let w = &mut rare.get_or_insert_with(Box::default).write_max;
+                            let i = w.partition_point(|&(l, _)| l < s.lock);
+                            w.insert(i, (s.lock, max_w));
+                            flag = SPLIT;
+                        }
+                        _ => {}
+                    }
+                    locks[s.lock as usize] = max_any.max(s.acq + 1) | flag;
+                });
+                if open_demand || forced(ma, mb, frontier) {
                     // Stop early: a later resume finds the unprocessed
                     // events by `processed < frontier`.
                     processed[t as usize] = pos;
@@ -802,6 +853,37 @@ impl SyncPCore {
             processed[t as usize] = pos;
         }
         true
+    }
+
+    /// Both witness builders: ingests `trace` up to the later of
+    /// `(e1, e2)`, asks `schedule` for the witness prefix of the pair's
+    /// event indexes `a < b`, and appends the pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of bounds or the events do not conflict.
+    pub(crate) fn pair_witness(
+        trace: &Trace,
+        e1: EventId,
+        e2: EventId,
+        schedule: impl FnOnce(&SyncPCore, u32, u32) -> Option<Vec<u32>>,
+    ) -> Option<Vec<EventId>> {
+        let (a, b) = if e1.index() <= e2.index() {
+            (e1, e2)
+        } else {
+            (e2, e1)
+        };
+        assert!(
+            trace.event(a).conflicts_with(trace.event(b)),
+            "a pair witness wants a conflicting pair"
+        );
+        let mut core = SyncPCore::default();
+        for (id, event) in trace.iter().take(b.index() + 1) {
+            core.ingest(id.index() as u32, event);
+        }
+        let mut order = schedule(&core, a.index() as u32, b.index() as u32)?;
+        order.extend([a.index() as u32, b.index() as u32]);
+        Some(order.into_iter().map(EventId::new).collect())
     }
 
     /// The ideal a successful closure left in `frontier` (per thread: the
@@ -875,36 +957,91 @@ impl SyncPCore {
 /// run_detector(&mut det, &paper::figure1());
 /// assert_eq!(det.report().dynamic_count(), 1);
 /// ```
+pub type SyncP = SyncPreserving<false>;
+
+/// The optimistic synchronization-reversal race predictor (`OSR`) — see
+/// the `osr` module docs for the relation and the abort-and-commit check.
+///
+/// # Examples
+///
+/// OSR detects a race hidden behind a same-lock section reversal, which
+/// SyncP provably cannot report:
+///
+/// ```
+/// use smarttrack_detect::{run_detector, Detector, Osr, SyncP};
+/// use smarttrack_trace::{LockId, Op, ThreadId, TraceBuilder, VarId};
+///
+/// let (t1, t2) = (ThreadId::new(0), ThreadId::new(1));
+/// let (l, x, y) = (LockId::new(0), VarId::new(0), VarId::new(1));
+/// let mut b = TraceBuilder::new();
+/// b.push(t1, Op::Acquire(l)).unwrap();
+/// b.push(t1, Op::Write(y)).unwrap();
+/// b.push(t1, Op::Write(x)).unwrap(); // e1
+/// b.push(t1, Op::Release(l)).unwrap();
+/// b.push(t2, Op::Acquire(l)).unwrap();
+/// b.push(t2, Op::Write(y)).unwrap();
+/// b.push(t2, Op::Release(l)).unwrap();
+/// b.push(t2, Op::Write(x)).unwrap(); // e2: races with e1 under OSR only
+/// let trace = b.finish();
+///
+/// let mut syncp = SyncP::new();
+/// run_detector(&mut syncp, &trace);
+/// assert_eq!(syncp.report().dynamic_count(), 0);
+///
+/// let mut osr = Osr::new();
+/// run_detector(&mut osr, &trace);
+/// assert_eq!(osr.report().dynamic_count(), 1);
+/// ```
+pub type Osr = SyncPreserving<true>;
+
+/// One sync-preserving detector, generic over the pair check: without
+/// `REVERSALS` it is [`SyncP`], with them [`Osr`]. The stream bookkeeping,
+/// the prefilters and the epoch cache are the same for both, because all
+/// of them stay sound under section reversals: the strong clock has no
+/// lock edges, and mutual exclusion holds whatever order two same-lock
+/// sections run in.
 #[derive(Clone, Debug, Default)]
-pub struct SyncP {
-    core: SyncPCore,
+pub struct SyncPreserving<const REVERSALS: bool> {
+    pub(crate) core: SyncPCore,
     strong: StrongState,
     vars: Vec<VarState>,
     closures: PairClosures,
+    /// OSR's journaling-closure scratch, allocated at the first aborted
+    /// pair (so never without reversals).
+    pub(crate) scratch: Option<Box<OsrScratch>>,
     report: Report,
     paths: PathCounters,
 }
 
-impl SyncP {
+impl<const REVERSALS: bool> SyncPreserving<REVERSALS> {
     /// Creates the analysis with empty state.
     pub fn new() -> Self {
-        SyncP::default()
+        Self::default()
     }
 
-    /// A SyncP that starts every closure from an empty ideal instead of
+    /// A detector that starts every closure from an empty ideal instead of
     /// resuming the thread pair's last one (a test baseline for
-    /// [`closure_counters`](SyncP::closure_counters)).
+    /// [`closure_counters`](SyncPreserving::closure_counters)).
     #[doc(hidden)]
     pub fn with_fresh_closures() -> Self {
-        let mut det = SyncP::default();
+        let mut det = Self::default();
         det.closures.fresh_only = true;
         det
     }
 
-    /// Closure runs, resumed runs and events walked so far.
+    /// Closure runs, resumed runs and events walked so far (for OSR: by
+    /// the `R = ∅` attempts; its journaling closure is not counted), and
+    /// OSR's give-ups.
     #[doc(hidden)]
     pub fn closure_counters(&self) -> ClosureCounters {
         self.closures.counters()
+    }
+
+    /// Heap bytes of OSR's journaling scratch.
+    fn scratch_bytes(&self) -> usize {
+        self.scratch
+            .as_ref()
+            .map_or(0, |s| std::mem::size_of::<OsrScratch>() + s.heap_bytes())
     }
 
     /// Strong-clock order test: is the access at `idx` ordered before the
@@ -916,7 +1053,8 @@ impl SyncP {
     }
 
     /// Common-lock prefilter: both endpoints hold `l` and at least one
-    /// hold is write-mode ⇒ rule 3 orders them.
+    /// hold is write-mode ⇒ rule 3 orders them, and mutual exclusion
+    /// orders them under any section order, reversed or not.
     #[inline]
     fn common_lock(cur: &[(u32, bool, u32)], cand: &[(u32, bool)]) -> bool {
         cur.iter()
@@ -976,7 +1114,21 @@ impl SyncP {
             if self.strong_ordered(t, c.idx) || Self::common_lock(cur_holds, &c.holds) {
                 continue;
             }
-            if self.closures.check(&self.core, c.idx, idx) {
+            // The only step that differs between the two rows. OSR takes
+            // the verdict only: no ideal is built for a SyncP commit.
+            let race = if REVERSALS {
+                osr_check(
+                    &self.core,
+                    &mut self.closures,
+                    &mut self.scratch,
+                    c.idx,
+                    idx,
+                )
+                .is_some()
+            } else {
+                self.closures.check(&self.core, c.idx, idx)
+            };
+            if race {
                 prior.push(tid);
             }
         }
@@ -1026,13 +1178,21 @@ impl SyncP {
     }
 }
 
-impl Detector for SyncP {
+impl<const REVERSALS: bool> Detector for SyncPreserving<REVERSALS> {
     fn name(&self) -> &'static str {
-        "SyncP"
+        if REVERSALS {
+            "OSR"
+        } else {
+            "SyncP"
+        }
     }
 
     fn relation(&self) -> Relation {
-        Relation::SyncP
+        if REVERSALS {
+            Relation::Osr
+        } else {
+            Relation::SyncP
+        }
     }
 
     fn opt_level(&self) -> OptLevel {
@@ -1068,53 +1228,30 @@ impl Detector for SyncP {
                 if m.aux != NONE {
                     self.strong.absorb_read_from(t, x.index());
                 }
+                return;
             }
             Op::Write(x) => {
                 self.access(id, event, x, true);
                 self.strong.stamp_last_write(t, x.index());
+                return;
             }
-            Op::VolatileRead(v) => {
-                self.strong.absorb_volatile(t, v.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::VolatileWrite(v) => {
-                self.strong.stamp_volatile(t, v.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Fork(u) => {
-                self.strong.fork(t, u);
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Join(u) => {
-                self.strong.join_child(t, u);
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Wait(c, _) => {
-                self.strong.absorb_notifies(t, c.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::Notify(c) | Op::NotifyAll(c) => {
-                self.strong.publish_notify(t, c.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::BarrierEnter(b) => {
-                self.strong.barrier_enter(t, b.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
-            Op::BarrierExit(b) => {
-                self.strong.barrier_exit(t, b.index());
-                self.core.thread(t.index()).ctx += 1;
-            }
+            Op::VolatileRead(v) => self.strong.absorb_volatile(t, v.index()),
+            Op::VolatileWrite(v) => self.strong.stamp_volatile(t, v.index()),
+            Op::Fork(u) => self.strong.fork(t, u),
+            Op::Join(u) => self.strong.join_child(t, u),
+            Op::Wait(c, _) => self.strong.absorb_notifies(t, c.index()),
+            Op::Notify(c) | Op::NotifyAll(c) => self.strong.publish_notify(t, c.index()),
+            Op::BarrierEnter(b) => self.strong.barrier_enter(t, b.index()),
+            Op::BarrierExit(b) => self.strong.barrier_exit(t, b.index()),
+            // No strong edges: lock order is rule 3's conditional business.
             Op::Acquire(_)
             | Op::AcqRead(_)
             | Op::AcqWrite(_)
             | Op::Release(_)
-            | Op::TryAcqFail(_) => {
-                // No strong edges (lock order is rule 3's conditional
-                // business), but the sync context changed.
-                self.core.thread(t.index()).ctx += 1;
-            }
+            | Op::TryAcqFail(_) => {}
         }
+        // Every synchronization op changes the thread's sync context.
+        self.core.thread(t.index()).ctx += 1;
     }
 
     fn report(&self) -> &Report {
@@ -1139,18 +1276,21 @@ impl Detector for SyncP {
                 })
                 .sum::<usize>()
             + self.closures.walk_bytes()
+            + self.scratch_bytes()
             + self.report.footprint_bytes()
     }
 
     fn state_bytes(&self) -> usize {
-        // The buffered event log dominates — SyncP's state grows with the
+        // The buffered event log dominates — the state grows with the
         // trace, unlike the vector-clock rows. The cheap estimate skips
         // per-variable candidate walks and reads the pair closures' running
-        // byte counter.
+        // byte counter; OSR's journaling scratch is one pass over its
+        // per-lock rows.
         self.core.resident_bytes()
             + self.strong.resident_bytes()
             + self.vars.capacity() * std::mem::size_of::<VarState>()
             + self.closures.resident_bytes()
+            + self.scratch_bytes()
             + self.report.footprint_bytes()
     }
 
@@ -1179,39 +1319,11 @@ impl Detector for SyncP {
 ///
 /// Panics if either id is out of bounds or the events do not conflict.
 pub fn syncp_pair_ideal(trace: &Trace, e1: EventId, e2: EventId) -> Option<Vec<EventId>> {
-    let (a, b) = if e1.index() <= e2.index() {
-        (e1, e2)
-    } else {
-        (e2, e1)
-    };
-    assert!(
-        trace.event(a).conflicts_with(trace.event(b)),
-        "syncp_pair_ideal wants a conflicting pair"
-    );
-    let mut core = SyncPCore::default();
-    for (id, event) in trace.iter() {
-        if id.index() > b.index() {
-            break;
-        }
-        core.ingest(id.index() as u32, event);
-    }
-    let mut scratch = ClosureScratch::default();
-    if !core.check_pair(
-        &mut scratch,
-        &mut Vec::new(),
-        a.index() as u32,
-        b.index() as u32,
-    ) {
-        return None;
-    }
-    let mut order: Vec<EventId> = core
-        .ideal(&scratch.frontier)
-        .into_iter()
-        .map(EventId::new)
-        .collect();
-    order.push(a);
-    order.push(b);
-    Some(order)
+    SyncPCore::pair_witness(trace, e1, e2, |core, a, b| {
+        let mut scratch = ClosureScratch::default();
+        core.check_pair(&mut scratch, &mut Vec::new(), a, b)
+            .then(|| core.ideal(&scratch.frontier))
+    })
 }
 
 #[cfg(test)]

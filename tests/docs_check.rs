@@ -149,6 +149,7 @@ fn docs_exist_and_cover_every_format() {
         "osr_differential",
         "R = ∅ runs SyncP's linear `check_pair`",
         "resumes one closure per thread pair",
+        "one detector, generic over the pair check",
         "rule (b) queues keep a running byte counter",
     ] {
         assert!(text.contains(needle), "ARCHITECTURE.md lost `{needle}`");

@@ -25,17 +25,22 @@
 //!    predictable race — sync reversal included, because predictability
 //!    never required preserving lock order in the first place.
 
+#[path = "support/sync_preserving.rs"]
+mod sync_preserving;
+
 use proptest::prelude::*;
 use smarttrack::{
     analyze, osr_pair_witness, run_detector, AnalysisConfig, BatchJob, Detector, Engine,
     EnginePool, OptLevel, Osr, Relation, Report, SyncP,
 };
 use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, Event, EventId, LockId, Op, ThreadId, Trace, TraceBuilder, VarId};
+use smarttrack_trace::{paper, EventId, LockId, Op, ThreadId, Trace, TraceBuilder, VarId};
 use smarttrack_vindicate::{
     validate_reversal_witness, validate_sync_preserving_witness, OracleResult,
     PredictableRaceOracle,
 };
+
+use sync_preserving::arb_full_spec;
 
 fn osr() -> AnalysisConfig {
     "osr".parse().expect("osr parses")
@@ -50,9 +55,20 @@ fn syncp() -> AnalysisConfig {
 /// releases, then writes x outside. Scheduling t2's whole section *before*
 /// t1's (a sync reversal) makes the two x-writes adjacent.
 fn reversal_trace() -> Trace {
-    let (m, x, y) = (LockId::new(0), VarId::new(0), VarId::new(1));
+    reversal_trace_behind(0)
+}
+
+/// The canonical reversal trace behind `private` writes by t2 to a
+/// variable no other thread touches (event indexes below are for
+/// `private = 0`). Each private write is one more event of the reversal
+/// pair's ideal, so one more level of its replay search.
+fn reversal_trace_behind(private: u32) -> Trace {
+    let (m, x, y, z) = (LockId::new(0), VarId::new(0), VarId::new(1), VarId::new(2));
     let t = ThreadId::new;
     let mut b = TraceBuilder::new();
+    for _ in 0..private {
+        b.push(t(1), Op::Write(z)).unwrap();
+    }
     b.push(t(0), Op::Acquire(m)).unwrap(); // 0
     b.push(t(0), Op::Write(y)).unwrap(); // 1
     b.push(t(0), Op::Write(x)).unwrap(); // 2: e1
@@ -120,7 +136,10 @@ fn assert_syncp_races_survive(syncp: &Report, osr: &Report, label: &str) {
         let o = osr
             .first_race_event()
             .expect("a SyncP race implies an OSR race");
-        assert!(o <= s, "{label}: OSR first race after SyncP's ({o:?} > {s:?})");
+        assert!(
+            o <= s,
+            "{label}: OSR first race after SyncP's ({o:?} > {s:?})"
+        );
     }
 }
 
@@ -133,95 +152,17 @@ fn assert_syncp_subset_osr(trace: &Trace, label: &str) -> Report {
     report
 }
 
-/// Recovers the racing pairs behind one reported race, mirroring the
-/// detector's per-thread latest-write/latest-read candidate scheme and
-/// keeping whichever pair the offline witness search confirms.
-fn racing_pairs(trace: &Trace, report: &Report) -> Vec<(EventId, EventId)> {
-    let mut pairs = Vec::new();
-    for race in report.races() {
-        let e2 = race.event;
-        let later: &Event = trace.event(e2);
-        for &prior in &race.prior_threads {
-            let (mut latest_write, mut latest_read) = (None, None);
-            for (id, e) in trace.iter() {
-                if id.index() < e2.index() && e.tid == prior && e.conflicts_with(later) {
-                    match e.op {
-                        Op::Write(_) | Op::VolatileWrite(_) => latest_write = Some(id),
-                        _ => latest_read = Some(id),
-                    }
-                }
-            }
-            let e1 = [latest_write, latest_read]
-                .into_iter()
-                .flatten()
-                .find(|&e1| osr_pair_witness(trace, e1, e2).is_some())
-                .unwrap_or_else(|| {
-                    panic!("no candidate pair by {prior:?} at {e2:?} reproduces offline")
-                });
-            pairs.push((e1, e2));
-        }
-    }
-    pairs
-}
-
 /// Family 4: every reported race carries a schedule accepted by the
 /// reversal-tolerant validator and is confirmed by the exhaustive oracle
 /// (on oracle-sized traces).
 fn assert_vindicated(trace: &Trace, report: &Report, label: &str) {
-    let oracle = PredictableRaceOracle::new(trace).with_budget(400_000);
-    for (e1, e2) in racing_pairs(trace, report) {
-        let order = osr_pair_witness(trace, e1, e2).unwrap_or_else(|| {
-            panic!("{label}: reported race ({e1:?},{e2:?}) not reproduced offline")
-        });
-        validate_reversal_witness(trace, &order, (e1, e2))
-            .unwrap_or_else(|err| panic!("{label}: witness for ({e1:?},{e2:?}) rejected: {err}"));
-        match oracle.is_predictable_race(e1, e2) {
-            OracleResult::Race(..) => {}
-            OracleResult::NoRace => {
-                panic!("{label}: oracle refutes OSR race ({e1:?},{e2:?}) — unsound!")
-            }
-            // Budget exhaustion is acceptable: the validated witness above
-            // is itself a constructive proof of the race.
-            OracleResult::Unknown => {}
-        }
-    }
-}
-
-/// Randomized traces mixing every op the event model has (the same
-/// strategy the SyncP battery uses).
-fn arb_full_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        (2u32..5, 40usize..220, 2u32..6, 1u32..4), // threads, events, vars, locks
-        (0u32..2, 0u32..2, 0u32..2),               // condvars, barriers, rwlocks
-        any::<u64>(),                              // seed
-        any::<bool>(),                             // fork_join
-    )
-        .prop_map(
-            |((threads, events, vars, locks), (condvars, barriers, rwlocks), seed, fork_join)| {
-                (
-                    RandomTraceSpec {
-                        threads,
-                        events,
-                        vars,
-                        locks,
-                        condvars,
-                        condvar_prob: if condvars > 0 { 0.08 } else { 0.0 },
-                        barriers,
-                        barrier_prob: if barriers > 0 { 0.04 } else { 0.0 },
-                        rwlocks,
-                        rw_read_prob: if rwlocks > 0 { 0.1 } else { 0.0 },
-                        rw_write_prob: if rwlocks > 0 { 0.04 } else { 0.0 },
-                        rw_release_prob: 0.2,
-                        try_fail_prob: if rwlocks > 0 { 0.02 } else { 0.0 },
-                        acquire_prob: 0.15,
-                        release_prob: 0.2,
-                        fork_join,
-                        ..RandomTraceSpec::default()
-                    },
-                    seed,
-                )
-            },
-        )
+    sync_preserving::assert_vindicated(
+        trace,
+        report,
+        label,
+        osr_pair_witness,
+        validate_reversal_witness,
+    );
 }
 
 proptest! {
@@ -367,7 +308,10 @@ fn reversal_trace_is_the_pinned_osr_only_race() {
     // exclusion — confirms the pair is a genuine predictable race.
     let oracle = PredictableRaceOracle::new(&trace);
     assert!(
-        matches!(oracle.is_predictable_race(pair.0, pair.1), OracleResult::Race(..)),
+        matches!(
+            oracle.is_predictable_race(pair.0, pair.1),
+            OracleResult::Race(..)
+        ),
         "exhaustive oracle confirms the reversal race"
     );
     assert_vindicated(&trace, &report, "reversal");
@@ -439,9 +383,87 @@ fn osr_config_round_trips() {
         AnalysisConfig::extended().contains(&config),
         "extended listing carries the OSR row"
     );
-    let err = "osr+g".parse::<AnalysisConfig>().expect_err("no graph variant");
+    let err = "osr+g"
+        .parse::<AnalysisConfig>()
+        .expect_err("no graph variant");
     assert!(
         err.to_string().contains("no graph-recording"),
         "rejection must explain itself: {err}"
     );
+}
+
+/// The replay search keeps one frame per replayed event on the heap. A
+/// recursive search overflowed a 2 MiB stack — the default of spawned
+/// threads, serve workers and `EnginePool` workers among them — on this
+/// trace, aborting the process.
+#[test]
+fn deep_replay_runs_on_a_default_thread_stack() {
+    let trace = reversal_trace_behind(20_000);
+    let counts = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut syncp = SyncP::new();
+            run_detector(&mut syncp, &trace);
+            let mut osr = Osr::new();
+            run_detector(&mut osr, &trace);
+            (syncp.report().dynamic_count(), osr.report().dynamic_count())
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("the detectors do not panic");
+    assert_eq!(counts, (0, 1), "(SyncP, OSR) races");
+}
+
+/// A replay that needs more states than the DFS budget (2^17) allows
+/// drops the pair, and the give-up is counted.
+#[test]
+fn replay_past_the_state_budget_is_a_counted_give_up() {
+    let trace = reversal_trace_behind(140_000);
+    let mut osr = Osr::new();
+    run_detector(&mut osr, &trace);
+    let c = osr.closure_counters();
+    assert_eq!(
+        osr.report().dynamic_count() as u64 + c.dfs_exhausted,
+        1,
+        "the pair is reported or counted as a give-up: {c:?}"
+    );
+    assert_eq!(c.attempts_exhausted, 0, "{c:?}");
+}
+
+/// t1's section holds e1 = wr(x); then t2 runs `sections` sections on the
+/// same lock and writes x outside them. Every one of t2's sections forces
+/// e1 through its own rule-3 pull, so the search commits one reversal per
+/// attempt and needs `sections` attempts after `R = ∅`.
+fn sections_behind(sections: u32) -> Trace {
+    let (m, x) = (LockId::new(0), VarId::new(0));
+    let t = ThreadId::new;
+    let mut b = TraceBuilder::new();
+    for op in [Op::Acquire(m), Op::Write(x), Op::Release(m)] {
+        b.push(t(0), op).unwrap();
+    }
+    for _ in 0..sections {
+        b.push(t(1), Op::Acquire(m)).unwrap();
+        b.push(t(1), Op::Release(m)).unwrap();
+    }
+    b.push(t(1), Op::Write(x)).unwrap();
+    b.finish()
+}
+
+/// Fifteen reversals are the most one pair may commit: one more section
+/// drops the pair, and the give-up is counted.
+#[test]
+fn reversal_search_past_its_attempts_is_a_counted_give_up() {
+    for (sections, races, exhausted) in [(15, 1, 0), (16, 0, 1)] {
+        let trace = sections_behind(sections);
+        assert!(analyze(&trace, syncp()).report.is_empty());
+        let mut osr = Osr::new();
+        run_detector(&mut osr, &trace);
+        let c = osr.closure_counters();
+        assert_eq!(osr.report().dynamic_count(), races, "{sections} sections");
+        assert_eq!(
+            (c.attempts_exhausted, c.dfs_exhausted),
+            (exhausted, 0),
+            "{sections} sections: {c:?}"
+        );
+    }
 }

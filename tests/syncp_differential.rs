@@ -23,14 +23,19 @@
 //!    `syncp_pair_ideal` passes the §2.2 witness validator as-is, and the
 //!    exhaustive reordering oracle confirms the pair is a predictable race.
 
+#[path = "support/sync_preserving.rs"]
+mod sync_preserving;
+
 use proptest::prelude::*;
 use smarttrack::{
     analyze, run_detector, syncp_pair_ideal, AnalysisConfig, BatchJob, Engine, EnginePool,
     OptLevel, Relation, Report,
 };
 use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, Event, EventId, Trace};
-use smarttrack_vindicate::{validate_witness, OracleResult, PredictableRaceOracle};
+use smarttrack_trace::{paper, EventId, Trace};
+use smarttrack_vindicate::validate_witness;
+
+use sync_preserving::{arb_full_spec, assert_witnessed};
 
 fn syncp() -> AnalysisConfig {
     "syncp".parse().expect("syncp parses")
@@ -81,98 +86,11 @@ fn assert_hb_subset_syncp(trace: &Trace, label: &str) -> Report {
     report
 }
 
-/// Recovers the racing pairs behind one reported race. The detector
-/// checks, per prior thread, that thread's latest *write* and latest
-/// *read* candidates — and the latest conflicting access alone can be
-/// synchronization-ordered while the older opposite-kind candidate races
-/// (e.g. a lock-protected latest write over an unprotected earlier read),
-/// so the recovery mirrors the candidate scheme and keeps whichever pair
-/// the offline closure confirms.
-fn racing_pairs(trace: &Trace, report: &Report) -> Vec<(EventId, EventId)> {
-    use smarttrack_trace::Op;
-    let mut pairs = Vec::new();
-    for race in report.races() {
-        let e2 = race.event;
-        let later: &Event = trace.event(e2);
-        for &prior in &race.prior_threads {
-            let (mut latest_write, mut latest_read) = (None, None);
-            for (id, e) in trace.iter() {
-                if id.index() < e2.index() && e.tid == prior && e.conflicts_with(later) {
-                    match e.op {
-                        Op::Write(_) | Op::VolatileWrite(_) => latest_write = Some(id),
-                        _ => latest_read = Some(id),
-                    }
-                }
-            }
-            let e1 = [latest_write, latest_read]
-                .into_iter()
-                .flatten()
-                .find(|&e1| syncp_pair_ideal(trace, e1, e2).is_some())
-                .unwrap_or_else(|| {
-                    panic!("no candidate pair by {prior:?} at {e2:?} reproduces offline")
-                });
-            pairs.push((e1, e2));
-        }
-    }
-    pairs
-}
-
-/// Family 4: every reported race carries a valid witness and is confirmed
-/// by the exhaustive oracle (on oracle-sized traces).
+/// Family 4: every reported race carries a witness that passes the §2.2
+/// validator as-is and is confirmed by the exhaustive oracle (on
+/// oracle-sized traces).
 fn assert_vindicated(trace: &Trace, report: &Report, label: &str) {
-    let oracle = PredictableRaceOracle::new(trace).with_budget(400_000);
-    for (e1, e2) in racing_pairs(trace, report) {
-        let order = syncp_pair_ideal(trace, e1, e2).unwrap_or_else(|| {
-            panic!("{label}: reported race ({e1:?},{e2:?}) not reproduced offline")
-        });
-        validate_witness(trace, &order, (e1, e2))
-            .unwrap_or_else(|err| panic!("{label}: witness for ({e1:?},{e2:?}) rejected: {err}"));
-        match oracle.is_predictable_race(e1, e2) {
-            OracleResult::Race(..) => {}
-            OracleResult::NoRace => {
-                panic!("{label}: oracle refutes SyncP race ({e1:?},{e2:?}) — unsound!")
-            }
-            // Budget exhaustion is acceptable: the validated witness above
-            // is itself a constructive proof of the race.
-            OracleResult::Unknown => {}
-        }
-    }
-}
-
-/// Randomized traces mixing every op the event model has.
-fn arb_full_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        (2u32..5, 40usize..220, 2u32..6, 1u32..4), // threads, events, vars, locks
-        (0u32..2, 0u32..2, 0u32..2),               // condvars, barriers, rwlocks
-        any::<u64>(),                              // seed
-        any::<bool>(),                             // fork_join
-    )
-        .prop_map(
-            |((threads, events, vars, locks), (condvars, barriers, rwlocks), seed, fork_join)| {
-                (
-                    RandomTraceSpec {
-                        threads,
-                        events,
-                        vars,
-                        locks,
-                        condvars,
-                        condvar_prob: if condvars > 0 { 0.08 } else { 0.0 },
-                        barriers,
-                        barrier_prob: if barriers > 0 { 0.04 } else { 0.0 },
-                        rwlocks,
-                        rw_read_prob: if rwlocks > 0 { 0.1 } else { 0.0 },
-                        rw_write_prob: if rwlocks > 0 { 0.04 } else { 0.0 },
-                        rw_release_prob: 0.2,
-                        try_fail_prob: if rwlocks > 0 { 0.02 } else { 0.0 },
-                        acquire_prob: 0.15,
-                        release_prob: 0.2,
-                        fork_join,
-                        ..RandomTraceSpec::default()
-                    },
-                    seed,
-                )
-            },
-        )
+    sync_preserving::assert_vindicated(trace, report, label, syncp_pair_ideal, validate_witness);
 }
 
 proptest! {
@@ -380,12 +298,7 @@ fn sync_heavy_profiles_are_sound_end_to_end() {
         let label = format!("sound/{}", w.name);
         let report = assert_hb_subset_syncp(&trace, &label);
         assert!(!report.is_empty(), "{label}: expected injected races");
-        for (e1, e2) in racing_pairs(&trace, &report) {
-            let order = syncp_pair_ideal(&trace, e1, e2)
-                .unwrap_or_else(|| panic!("{label}: ({e1:?},{e2:?}) not reproduced"));
-            validate_witness(&trace, &order, (e1, e2))
-                .unwrap_or_else(|err| panic!("{label}: witness rejected: {err}"));
-        }
+        assert_witnessed(&trace, &report, &label, syncp_pair_ideal, validate_witness);
     }
 }
 
